@@ -27,7 +27,6 @@ from .gram import build_gram_unknown
 from .discrimination import srm_block
 
 __all__ = [
-    "BigRational",
     "CoefficientEstimate",
     "DegeneratePadeError",
     "LimitEstimate",
@@ -45,8 +44,6 @@ __all__ = [
     "p0_via_primitive",
     "pade",
 ]
-
-BigRational = Fraction
 
 TABULATED_DIMENSIONS = (2, 3, 4, 8)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -110,7 +109,7 @@ def _build_parser() -> _Parser:
     curve.add_argument("--n", required=True, help="N range spec, e.g. 2:18:2,22:198:4")
     curve.add_argument("--method", choices=("srm", "sdp"), default="srm")
     curve.add_argument("--gap-tol", type=float, default=1e-8)
-    curve.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    curve.add_argument("--threads", type=int, default=1)
     curve.add_argument("--out", default=None)
     curve.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     curve.add_argument("--verbose", action="store_true")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .combinatorics import CapacityError, StringParams
 from .gram import SemiseparableGram, build_gram_known, build_gram_unknown
@@ -36,6 +37,7 @@ SRM_MAX_PARTICLES = 1000
 
 _SCENARIOS = ("unknown", "known")
 _METHODS = ("srm", "sdp")
+_STATUS_RANK = ("converged", "maxIterations", "numericalFailure")   # best to worst
 
 
 @dataclass(frozen=True)
@@ -80,37 +82,38 @@ def scenario_blocks(scenario: str, params: StringParams) -> list[tuple[int, Semi
     return pairs
 
 
-def _degenerate_label(g: SemiseparableGram) -> bool:
-    """Blocks whose states coincide (all pairwise overlaps 1)."""
-    block = g.block
-    if hasattr(block, "lam"):
-        return block.lam == 0
-    return block.excitations == 0
-
-
 def srm_block(g: SemiseparableGram) -> float:
-    """Square-root-measurement joint success: sum of squared diagonal entries of sqrt(G)."""
-    root = psd_sqrt(g.dense)
-    return float(np.sum(np.diag(root) ** 2))
+    """Square-root-measurement joint success: sum of squared diagonal entries of sqrt(G).
+
+    The tridiagonal inverse T = G^{-1} (`SemiseparableGram.inverse_tridiagonal`)
+    is diagonalised by the MRRR solver as T = V diag(mu) V^T, giving
+    [sqrt(G)]_kk = sum_j V_kj^2 mu_j^{-1/2}; no dense matrix is built.
+    A rank-one block has sqrt(G) = G / tr G, so its value is sum eta^2 / sum eta.
+    """
+    if g.rank_one:
+        eta = np.exp(g.log_eta)
+        return float(eta @ eta / eta.sum())
+    mu, vec = eigh_tridiagonal(*g.inverse_tridiagonal())
+    root_diag = vec ** 2 @ mu ** -0.5
+    return float(root_diag @ root_diag)
 
 
 def optimal_block(g: SemiseparableGram, gap_tol: float = 1e-8) -> tuple[float, SdpSolution]:
     """Optimal joint success of one block together with its SDP certificate.
 
-    Identical-states blocks short-circuit to the largest prior.  The reported
-    value is floored at the SRM value (itself a feasible POVM), so it never
-    drops below the SRM by solver tolerance.
+    Rank-one blocks (identical states) short-circuit to the largest prior.
+    The reported value is floored at the SRM value (itself a feasible POVM),
+    so it never drops below the SRM by solver tolerance.
     """
-    if _degenerate_label(g):
+    if g.rank_one:
         eta = np.asarray(g.block.priors)
         k_star = int(np.argmax(eta))
         n = g.order
         primal = [np.zeros((n, n)) for _ in range(n)]
         primal[k_star] = np.eye(n)
-        w, v = np.linalg.eigh(g.dense)
-        top = v[:, -1:]
+        top = g.v / np.linalg.norm(g.v)   # G is proportional to v v^T
         val = float(eta[k_star])
-        sol = SdpSolution(primal=primal, dual=val * (top @ top.T), primal_value=val,
+        sol = SdpSolution(primal=primal, dual=val * np.outer(top, top), primal_value=val,
                           dual_value=val, gap=0.0, iterations=0, status="converged")
         return val, sol
     root = psd_sqrt(g.dense)
@@ -171,6 +174,9 @@ class CurvePoint:
 
     ``gap`` is the worst per-block duality gap (0 for SRM rows) and
     ``iterations`` the largest per-block Newton count, for diagnostics.
+    ``status`` is "ok" only when every block's certificate converged within
+    ``gap_tol``; otherwise it is the worst block status (e.g.
+    "maxIterations"), "gapExceeded", or "error:<exception>".
     """
 
     N: int
@@ -203,10 +209,17 @@ def success_curve(
                               f"error:{type(exc).__name__}")
         gap = 0.0
         iterations = 0
+        status = "ok"
         if res.certificates:
-            gap = max(sol.gap for sol in res.certificates.values())
-            iterations = max(sol.iterations for sol in res.certificates.values())
-        return CurvePoint(n, d, scenario, method, res.total, gap, "ok", iterations)
+            sols = res.certificates.values()
+            gap = max(sol.gap for sol in sols)
+            iterations = max(sol.iterations for sol in sols)
+            worst = max((sol.status for sol in sols), key=_STATUS_RANK.index)
+            if worst != "converged":
+                status = worst
+            elif gap > gap_tol:
+                status = "gapExceeded"
+        return CurvePoint(n, d, scenario, method, res.total, gap, status, iterations)
 
     if threads > 1 and len(n_values) > 1:
         from concurrent.futures import ThreadPoolExecutor

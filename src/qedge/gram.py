@@ -3,9 +3,10 @@
 Every block (irrep lam in the unknown-unknown scenario, particle count
 ntilde0 in state |0> in the known-unknown scenario) yields a semiseparable
 Gram matrix G[k,k'] = v_k u_k' for k <= k', with the joint priors folded in.
-The inverse of the rescaled matrix is tridiagonal, and its entries are known
-in closed form; `tridiag_inverse_reference` reproduces them for verification
-against dense inversion.
+Blocks are built in float64 from log-gamma generators.  The inverse of every
+non-degenerate block is tridiagonal; for the rescaled unknown-unknown matrix
+its entries are known in closed form, and `tridiag_inverse_reference`
+reproduces them for verification against dense inversion.
 """
 
 from __future__ import annotations
@@ -13,18 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Union
+from functools import cached_property
+from typing import IO, Optional, Union
 
 import numpy as np
+from scipy.special import gammaln
 
-from .combinatorics import (
-    IrrepBlock,
-    StringParams,
-    hypothesis_range,
-    irrep_blocks,
-    priors,
-    sym_dim,
-)
+from .combinatorics import IrrepBlock, StringParams, hypothesis_range, sym_dim
 
 __all__ = [
     "KnownBlock",
@@ -84,88 +80,124 @@ def known_blocks(params: StringParams) -> list[KnownBlock]:
 
 @dataclass(frozen=True)
 class SemiseparableGram:
-    """Dense Gram matrix together with its semiseparable generators.
+    """Gram block held as its semiseparable log-generators.
 
-    dense[i, j] = v[i] * u[j] for i <= j (and symmetrically below), where the
-    index i runs over the block's hypothesis labels in ascending order.
+    G[i, j] = v[i] * u[j] for i <= j (and symmetrically below), where the
+    index i runs over the block's hypothesis labels in ascending order,
+    u = sqrt(eta * r) and v = sqrt(eta / r).  ``log_delta`` holds the
+    increments Delta_i = r_i - r_{i+1} (r_n = 0), so that
+    G = C C^T with C = diag(v) U diag(sqrt(Delta)), U upper-triangular ones.
+    The dense matrix is assembled only when asked for.
     """
 
     block: Union[IrrepBlock, KnownBlock]
-    u: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-    dense: np.ndarray = field(repr=False)
+    log_eta: np.ndarray = field(repr=False)
+    log_r: np.ndarray = field(repr=False)
+    log_delta: np.ndarray = field(repr=False)
 
     @property
     def order(self) -> int:
-        return self.dense.shape[0]
+        return self.log_eta.shape[0]
 
     @property
     def labels(self) -> tuple[int, ...]:
         return self.block.labels
 
     @property
+    def u(self) -> np.ndarray:
+        return np.exp(0.5 * (self.log_eta + self.log_r))
+
+    @property
+    def v(self) -> np.ndarray:
+        return np.exp(0.5 * (self.log_eta - self.log_r))
+
+    @property
+    def rank_one(self) -> bool:
+        """All states coincide up to their priors: every Delta but the last vanishes."""
+        return bool(np.all(np.isneginf(self.log_delta[:-1])))
+
+    @property
     def trace(self) -> float:
-        return float(np.trace(self.dense))
+        return float(np.sum(np.exp(self.log_eta)))
 
+    def inverse_tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of G^{-1} = B^T B, where B = C^{-1} is upper bidiagonal.
 
-def _assemble(block, eta: list[Fraction], ratio: list[Fraction]) -> SemiseparableGram:
-    """Build generators u = sqrt(eta*ratio), v = sqrt(eta/ratio) and the dense matrix.
+        B_kk = 1/(v_k sqrt(Delta_k)) and B_k,k+1 = -1/(v_{k+1} sqrt(Delta_k)),
+        taken from the log-generators, so T's diagonal is a sum of squares and
+        its off-diagonal a product: nothing cancels and nothing overflows.
+        """
+        if np.any(np.isneginf(self.log_delta)):
+            raise ValueError(f"block {self.block} is singular (some Delta_k = 0)")
+        log_v = 0.5 * (self.log_eta - self.log_r)
+        b_diag = np.exp(-0.5 * self.log_delta - log_v)
+        b_sup = np.exp(-0.5 * self.log_delta[:-1] - log_v[1:])
+        diag = b_diag ** 2
+        diag[1:] += b_sup ** 2
+        return diag, -b_diag[:-1] * b_sup
 
-    ratio_k is u_k^2 / eta_k; entries v_i u_j are all <= sqrt(eta_i eta_j)
-    even when individual generators span a huge dynamic range, so the dense
-    matrix is assembled from log-generators if float conversion overflows.
-    """
-    try:
-        u = np.array([math.sqrt(float(e * r)) for e, r in zip(eta, ratio)])
-        v = np.array([math.sqrt(float(e / r)) for e, r in zip(eta, ratio)])
-        overflow = False
-    except OverflowError:
-        overflow = True
-    if (
-        not overflow
-        and np.all(np.isfinite(u))
-        and np.all(np.isfinite(v))
-        and u.min() > 0
-        and v.min() > 0
-    ):
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The assembled matrix.  It needs u and v inside the normal float64
+        range: true for every block up to the particle caps, but known blocks
+        with about N/2 excitations leave it from N ~ 2100."""
+        with np.errstate(over="ignore", under="ignore"):
+            u, v = self.u, self.v
+        both = np.concatenate([u, v])
+        if not np.all(np.isfinite(both) & (both >= np.finfo(float).tiny)):
+            raise ValueError(f"block {self.block} has generators outside the float64 range; "
+                             "its dense matrix cannot be assembled")
         upper = np.triu(np.outer(v, u))
-        dense = upper + np.triu(upper, 1).T
-        return SemiseparableGram(block=block, u=u, v=v, dense=dense)
-    # exact-integer logs: log u = (log(eta*ratio))/2, entries exp(lv_i + lu_j)
-    lu = np.array(
-        [0.5 * (_log_fraction(e) + _log_fraction(r)) for e, r in zip(eta, ratio)]
-    )
-    lv = np.array(
-        [0.5 * (_log_fraction(e) - _log_fraction(r)) for e, r in zip(eta, ratio)]
-    )
-    upper = np.triu(np.exp(lv[:, None] + lu[None, :]))
-    dense = upper + np.triu(upper, 1).T
-    with np.errstate(over="ignore", under="ignore"):
-        u = np.exp(lu)
-        v = np.exp(lv)
-    return SemiseparableGram(block=block, u=u, v=v, dense=dense)
+        return upper + np.triu(upper, 1).T
 
 
-def _log_fraction(x: Fraction) -> float:
-    return math.log(x.numerator) - math.log(x.denominator)
+def _log_binom(n, r):
+    return gammaln(n + 1) - gammaln(r + 1) - gammaln(n - r + 1)
+
+
+def _log_sym_dim(n, d: int):
+    return _log_binom(n + d - 1, d - 1)
+
+
+def _log_generators(N: int, d: int, lam: Optional[int] = None, e: Optional[int] = None):
+    """log eta_k, log r_k and log Delta_k of an unknown (lam) or known (e) block.
+
+    Delta_k comes from the exact ratio r_k / r_{k+1} - 1, so no subtraction
+    cancels: lam(N+1-lam) / ((N-k-lam)(k+1-lam)) for unknown blocks and
+    e / (k+1-e) for known blocks; it is 0 (log -inf) for lam = 0 or e = 0.
+    """
+    if lam is not None:
+        k = np.arange(max(lam, 1), N - lam + 1, dtype=float)
+        log_s = (math.log(N - 2 * lam + 1) + _log_binom(d + lam - 2, d - 2)
+                 + _log_binom(d + N - lam - 1, d - 1) - math.log(N - lam + 1))
+        log_eta = log_s - math.log(N) - _log_sym_dim(N - k, d) - _log_sym_dim(k, d)
+        log_r = _log_binom(N - k, lam) - _log_binom(k, lam)
+        ki = k[:-1]
+        num, den = lam * (N + 1 - lam), (N - ki - lam) * (ki + 1 - lam)
+    else:
+        k = np.arange(max(e, 1), N + 1, dtype=float)
+        log_eta = _log_binom(e + d - 2, d - 2) - math.log(N) - _log_sym_dim(k, d)
+        log_r = -_log_binom(k, e)
+        num, den = e, k[:-1] + 1 - e
+    with np.errstate(divide="ignore"):
+        log_q = np.log(num) - np.log(den)
+    log_delta = np.append(log_r[1:] + log_q, log_r[-1])
+    return log_eta, log_r, log_delta
 
 
 def build_gram_unknown(N: int, d: int, lam: int) -> SemiseparableGram:
     """Gram matrix of the unknown-unknown block (N, d, lam).
 
     Entries sqrt(eta^lam_k eta^lam_k') <Omega^lam_k|Omega^lam_k'> with
-    generators u_k = sqrt(eta binom(N-k,lam)/binom(k,lam)) and v_k its mirror.
+    generators u_k = sqrt(eta r_k), r_k = binom(N-k,lam)/binom(k,lam), and
+    v_k = sqrt(eta / r_k).
     """
-    pri = priors(N, d, lam)
-    block = IrrepBlock(
-        params=StringParams(N, d),
-        lam=lam,
-        k_range=hypothesis_range(N, lam),
-        priors=tuple(float(p) for _, p in pri),
-    )
-    eta = [p for _, p in pri]
-    ratio = [Fraction(math.comb(N - k, lam), math.comb(k, lam)) for k, _ in pri]
-    return _assemble(block, eta, ratio)
+    params = StringParams(N, d)
+    k_range = hypothesis_range(N, lam)
+    log_eta, log_r, log_delta = _log_generators(N, d, lam=lam)
+    block = IrrepBlock(params=params, lam=lam, k_range=k_range,
+                       priors=tuple(np.exp(log_eta).tolist()))
+    return SemiseparableGram(block, log_eta, log_r, log_delta)
 
 
 def build_gram_known(N: int, d: int, ntilde0: int) -> SemiseparableGram:
@@ -175,23 +207,16 @@ def build_gram_known(N: int, d: int, ntilde0: int) -> SemiseparableGram:
     k <= k', where e = N - ntilde0, mult = binom(e+d-2, d-2) counts the
     aggregated excitation splits and eta_k = 1/(N d^sym_k).  The multiplicity
     is folded into the priors, so the diagonal equals mult/(N d^sym_k) and
-    the priors over all blocks sum to 1.
+    the priors over all blocks sum to 1.  Here r_k = 1/binom(k,e).
     """
     if not 0 <= ntilde0 <= N:
         raise ValueError(f"ntilde0 must be in 0..N, got {ntilde0}")
     params = StringParams(N, d)
     e = N - ntilde0
-    k_range = range(max(e, 1), N + 1)
-    mult = math.comb(e + d - 2, d - 2)
-    eta = [Fraction(mult, N * sym_dim(k, d)) for k in k_range]
-    block = KnownBlock(
-        params=params,
-        ntilde0=ntilde0,
-        k_range=k_range,
-        priors=tuple(float(p) for p in eta),
-    )
-    ratio = [Fraction(1, math.comb(k, e)) for k in k_range]
-    return _assemble(block, eta, ratio)
+    log_eta, log_r, log_delta = _log_generators(N, d, e=e)
+    block = KnownBlock(params=params, ntilde0=ntilde0, k_range=range(max(e, 1), N + 1),
+                       priors=tuple(np.exp(log_eta).tolist()))
+    return SemiseparableGram(block, log_eta, log_r, log_delta)
 
 
 def rescale_gram(g: SemiseparableGram) -> SemiseparableGram:
@@ -207,8 +232,7 @@ def rescale_gram(g: SemiseparableGram) -> SemiseparableGram:
         raise ValueError("rescale_gram applies to unknown-unknown blocks only")
     N, d = block.params.N, block.params.d
     pref = (N / 2) ** 2 / ((d - 1) * (2 * block.j + 1))
-    s = math.sqrt(pref)
-    return SemiseparableGram(block=block, u=g.u * s, v=g.v * s, dense=g.dense * pref)
+    return SemiseparableGram(block, g.log_eta + math.log(pref), g.log_r, g.log_delta)
 
 
 def tridiag_inverse_reference(N: int, d: int, j: Union[int, float, Fraction]) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -90,6 +91,23 @@ def test_curve_json_format(tmp_path):
     assert doc["config"]["deterministic"] is True
     assert doc["config"]["method"] == "srm"
     assert [r["N"] for r in doc["rows"]] == [2, 4]
+
+
+def test_curve_threads_default_one(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["curve", "--n", "2", "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["threads"] == 1
+
+
+def test_curve_row_status_follows_block_certificates():
+    # known N = 40, block n1 = 1 stops at maxIterations; the row must say so.
+    # One BLAS thread: the small-block SDP is several times slower with more.
+    proc = run_cli(["curve", "--scenario", "known", "--method", "sdp", "--n", "40",
+                    "--format", "json"], env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2
+    (row,) = json.loads(proc.stdout)["rows"]
+    assert row["status"] == "maxIterations"
+    assert row["iterations"] == 200
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,0 +1,123 @@
+"""Structured SRM: the tridiagonal inverse and the square-root measurement built on it,
+checked against dense linear algebra and a 40-digit dense reference."""
+
+import mpmath
+import numpy as np
+import pytest
+
+from qedge import build_gram_known, build_gram_unknown, rescale_gram, srm_block
+from qedge.gram import tridiag_inverse_reference
+from qedge.linalg import psd_sqrt
+
+
+def gram(scenario, n, d, label):
+    return build_gram_unknown(n, d, label) if scenario == "unknown" else build_gram_known(n, d, label)
+
+
+def labels(scenario, n):
+    return range(n // 2 + 1) if scenario == "unknown" else range(n + 1)
+
+
+def mp_srm(scenario, n, d, label):
+    """SRM value from the closed-form block in 40-digit arithmetic: dense eigendecomposition."""
+    with mpmath.workdps(40):
+        binom = mpmath.binomial
+        if scenario == "unknown":
+            lam = label
+            ks = range(max(lam, 1), n - lam + 1)
+            s_lam = mpmath.mpf((n - 2 * lam + 1) * binom(d + lam - 2, d - 2)
+                               * binom(d + n - lam - 1, d - 1)) / (n - lam + 1)
+            eta = [s_lam / (n * binom(n - k + d - 1, d - 1) * binom(k + d - 1, d - 1)) for k in ks]
+            ratio = [binom(n - k, lam) / binom(k, lam) for k in ks]
+        else:
+            e = n - label
+            ks = range(max(e, 1), n + 1)
+            eta = [binom(e + d - 2, d - 2) / (n * binom(k + d - 1, d - 1)) for k in ks]
+            ratio = [1 / binom(k, e) for k in ks]
+        size = len(ks)
+        g = mpmath.matrix(size, size)
+        for i in range(size):
+            for j in range(i, size):
+                g[i, j] = g[j, i] = mpmath.sqrt(eta[i] * eta[j] * ratio[j] / ratio[i])
+        w, q = mpmath.eigsy(g)
+        root = q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * q.T
+        return float(mpmath.fsum(root[i, i] ** 2 for i in range(size)))
+
+
+@pytest.mark.parametrize("scenario", ["unknown", "known"])
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_srm_block_matches_40_digit_reference(scenario, d):
+    # every block at N = 9, and at N = 40 the largest block (lam = 1 / n1 = 1)
+    cases = [(9, label) for label in labels(scenario, 9)]
+    cases.append((40, 1 if scenario == "unknown" else 39))
+    for n, label in cases:
+        ref = mp_srm(scenario, n, d, label)
+        val = srm_block(gram(scenario, n, d, label))
+        assert abs(val - ref) <= 1e-12 * ref, (n, label, val, ref)
+
+
+def tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("scenario", ["unknown", "known"])
+def test_inverse_tridiagonal_matches_dense_inverse(scenario):
+    for n, d in [(2, 2), (7, 3), (12, 2), (16, 4)]:
+        for label in labels(scenario, n):
+            g = gram(scenario, n, d, label)
+            if g.rank_one:
+                if g.order > 1:
+                    with pytest.raises(ValueError):
+                        g.inverse_tridiagonal()
+                continue
+            inv = np.linalg.inv(g.dense)
+            t = tridiagonal(*g.inverse_tridiagonal())
+            assert np.abs(t - inv).max() <= 1e-12 * np.abs(inv).max(), (n, d, label)
+
+
+def test_inverse_tridiagonal_matches_closed_form():
+    for n, d in [(4, 2), (5, 3), (12, 2), (20, 4), (31, 3), (60, 2)]:
+        for lam in range(1, n // 2 + 1):
+            diag, off = rescale_gram(build_gram_unknown(n, d, lam)).inverse_tridiagonal()
+            ref_diag, ref_off = tridiag_inverse_reference(n, d, n / 2 - lam)
+            scale = np.abs(ref_diag).max()
+            assert np.abs(diag - ref_diag).max() <= 1e-12 * scale, (n, d, lam)
+            assert np.abs(off - ref_off).max(initial=0.0) <= 1e-12 * scale, (n, d, lam)
+
+
+@pytest.mark.parametrize("n, scenario, label", [
+    (400, "unknown", 1), (400, "unknown", 57), (400, "known", 399), (400, "known", 150),
+    (1000, "unknown", 1), (1000, "known", 999),   # known n1 = 1 is the worst-conditioned (~1e7)
+])
+def test_srm_block_matches_dense_sqrt_at_large_n(n, scenario, label):
+    g = gram(scenario, n, 2, label)
+    dense = float(np.sum(np.diag(psd_sqrt(g.dense)) ** 2))
+    assert abs(srm_block(g) - dense) <= 1e-12
+
+
+def test_rank_one_blocks():
+    for n, d in [(2, 2), (9, 3), (40, 8)]:
+        for lam in range(n // 2 + 1):
+            g = build_gram_unknown(n, d, lam)
+            assert g.rank_one == (lam == 0 or g.order == 1)
+        for ntilde0 in range(n + 1):
+            g = build_gram_known(n, d, ntilde0)
+            assert g.rank_one == (ntilde0 == n or g.order == 1)
+        g = build_gram_unknown(n, d, 0)
+        eta = np.asarray(g.block.priors)
+        assert srm_block(g) == pytest.approx(eta @ eta / eta.sum(), rel=1e-14)
+        assert np.linalg.matrix_rank(g.dense, tol=1e-12 * g.trace) == 1
+
+
+def test_srm_block_leaves_dense_unbuilt():
+    for g in (build_gram_unknown(30, 3, 4), build_gram_known(30, 2, 11), build_gram_unknown(30, 2, 0)):
+        srm_block(g)
+        assert "dense" not in g.__dict__
+
+
+def test_dense_refuses_generators_outside_float_range():
+    # e = 1200 of N = 2400: r_k = 1/binom(k, e) spans ~e^-1660, so u underflows and v overflows
+    g = build_gram_known(2400, 2, 1200)
+    with pytest.raises(ValueError):
+        g.dense
+    assert 0 < srm_block(g) < g.trace
