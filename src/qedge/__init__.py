@@ -18,7 +18,6 @@ from .combinatorics import (
     StringParams,
     cg_coefficient,
     hypothesis_range,
-    irrep_blocks,
     irrep_dim,
     omega_vector,
     overlap_closed,
@@ -31,7 +30,6 @@ from .gram import (
     SemiseparableGram,
     build_gram_known,
     build_gram_unknown,
-    known_blocks,
     rescale_gram,
     tridiag_inverse_reference,
 )

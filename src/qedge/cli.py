@@ -10,7 +10,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -34,26 +33,9 @@ from .gram import (
     tridiag_inverse_reference,
 )
 
-__all__ = ["main", "parse_n_spec", "RunConfig"]
+__all__ = ["main", "parse_n_spec"]
 
 _CSV_HEADER = "N,d,scenario,method,p_success,gap,status"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options of one CLI invocation; defaults are recorded in JSON output."""
-
-    command: str
-    scenario: str = "unknown"
-    d: int = 2
-    n_values: tuple[int, ...] = ()
-    method: str = "srm"
-    gap_tol: float = 1e-8
-    threads: int = 1
-    out: Optional[str] = None
-    fmt: str = "csv"
-    verbose: bool = False
-    deterministic: bool = field(default=True, init=False)  # no RNG anywhere
 
 
 class _UsageError(Exception):
@@ -109,7 +91,6 @@ def _build_parser() -> _Parser:
     curve.add_argument("--n", required=True, help="N range spec, e.g. 2:18:2,22:198:4")
     curve.add_argument("--method", choices=("srm", "sdp"), default="srm")
     curve.add_argument("--gap-tol", type=float, default=1e-8)
-    curve.add_argument("--threads", type=int, default=1)
     curve.add_argument("--out", default=None)
     curve.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     curve.add_argument("--verbose", action="store_true")
@@ -146,12 +127,7 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 def _cmd_curve(args) -> int:
     n_values = parse_n_spec(args.n)
-    config = RunConfig(command="curve", scenario=args.scenario, d=args.d,
-                       n_values=tuple(n_values), method=args.method,
-                       gap_tol=args.gap_tol, threads=args.threads,
-                       out=args.out, fmt=args.fmt, verbose=args.verbose)
-    rows = success_curve(args.scenario, args.d, n_values, args.method,
-                         gap_tol=args.gap_tol, threads=max(1, args.threads))
+    rows = success_curve(args.scenario, args.d, n_values, args.method, gap_tol=args.gap_tol)
     if args.verbose:
         for row in rows:
             print(
@@ -170,7 +146,12 @@ def _cmd_curve(args) -> int:
         _write_output(buf.getvalue(), args.out)
     else:
         doc = {
-            "config": _config_dict(config),
+            "config": {
+                "command": "curve", "scenario": args.scenario, "d": args.d,
+                "n_values": n_values, "method": args.method, "gap_tol": args.gap_tol,
+                "format": args.fmt, "deterministic": True,   # no RNG anywhere
+                "version": __version__,
+            },
             "rows": [
                 {"N": row.N, "d": row.d, "scenario": row.scenario, "method": row.method,
                  "p_success": row.p_success, "gap": row.gap, "status": row.status,
@@ -180,16 +161,6 @@ def _cmd_curve(args) -> int:
         }
         _write_output(json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n", args.out)
     return 0 if all(row.status == "ok" for row in rows) else 2
-
-
-def _config_dict(config: RunConfig) -> dict:
-    return {
-        "command": config.command, "scenario": config.scenario, "d": config.d,
-        "n_values": list(config.n_values), "method": config.method,
-        "gap_tol": config.gap_tol, "threads": config.threads,
-        "format": config.fmt, "deterministic": config.deterministic,
-        "version": __version__,
-    }
 
 
 def _cmd_asymptote(args) -> int:
@@ -294,18 +265,15 @@ def _verify_holevo(verbose: bool) -> tuple[int, int, str]:
     for n_val in range(2, 31):
         res = total_success(ScenarioSpec("unknown", StringParams(n_val, 2), "sdp"))
         for label, sol in sorted(res.certificates.items()):
-            if sol.iterations == 0 and sol.gap == 0.0:   # exact degenerate-block solution
-                checks_ok = True
-            else:
-                g = build_gram_unknown(n_val, 2, label)
-                root = psd_sqrt(g.dense)
-                checks_ok = sol.gap <= 1e-8
-                for k in range(g.order):
-                    rho = np.outer(root[:, k], root[:, k])
-                    if np.linalg.eigvalsh(sol.dual - rho).min() < -1e-8:
-                        checks_ok = False
-                    if abs(np.sum((sol.dual - rho) * sol.primal[k])) > 1e-8:
-                        checks_ok = False
+            g = build_gram_unknown(n_val, 2, label)
+            root = psd_sqrt(g.dense)
+            checks_ok = sol.gap <= 1e-8
+            for k in range(g.order):
+                rho = np.outer(root[:, k], root[:, k])
+                if np.linalg.eigvalsh(sol.dual - rho).min() < -1e-8:
+                    checks_ok = False
+                if abs(np.sum((sol.dual - rho) * sol.primal[k])) > 1e-8:
+                    checks_ok = False
             if checks_ok:
                 passed += 1
             else:

@@ -22,7 +22,6 @@ __all__ = [
     "StringParams",
     "cg_coefficient",
     "hypothesis_range",
-    "irrep_blocks",
     "irrep_dim",
     "omega_vector",
     "overlap_closed",
@@ -96,14 +95,14 @@ def priors(N: int, d: int, lam: int) -> list[tuple[int, Fraction]]:
 class IrrepBlock:
     """One discrimination sub-problem: irrep lam of the string (N, d).
 
-    ``priors`` are the joint probabilities eta^lam_k for k in ``k_range``;
-    they sum to 1 over all blocks of fixed (N, d).
+    Its hypotheses are the edge positions in ``k_range``; the exact joint
+    priors eta^lam_k are ``priors_exact()``, and they sum to 1 over all
+    blocks of fixed (N, d).
     """
 
     params: StringParams
     lam: int
     k_range: range = field(repr=False)
-    priors: tuple[float, ...] = field(repr=False)
 
     @property
     def j(self) -> float:
@@ -116,22 +115,6 @@ class IrrepBlock:
 
     def priors_exact(self) -> list[tuple[int, Fraction]]:
         return priors(self.params.N, self.params.d, self.lam)
-
-
-def irrep_blocks(params: StringParams) -> list[IrrepBlock]:
-    """All irrep blocks of the unknown-unknown scenario, lam ascending."""
-    blocks = []
-    for lam in range(params.N // 2 + 1):
-        pri = priors(params.N, params.d, lam)
-        blocks.append(
-            IrrepBlock(
-                params=params,
-                lam=lam,
-                k_range=hypothesis_range(params.N, lam),
-                priors=tuple(float(p) for _, p in pri),
-            )
-        )
-    return blocks
 
 
 def cg_coefficient(q_n: int, alpha_n: int, n: int, lam: int, w: int) -> float:
@@ -243,18 +226,13 @@ def omega_vector(N: int, k: int, lam: int) -> SchurVector:
             if q_n == 2:
                 cur_lam += 1
             cur_w += alpha_n
-            if q_n == 1:
-                num = (n - cur_lam - cur_w) if alpha_n == 0 else (cur_w - cur_lam)
-                den = n - 2 * cur_lam
-                sign = 1.0
-            else:
-                num = (cur_w - cur_lam + 1) if alpha_n == 0 else (n - cur_lam - cur_w + 1)
-                den = n - 2 * cur_lam + 2
-                sign = -1.0 if alpha_n == 0 else 1.0
-            if num <= 0:
+            step = cg_coefficient(q_n, alpha_n, n, cur_lam, cur_w)
+            # a zero step leaves the irrep's weight range; stopping here keeps
+            # every later step (whose radicand would go negative) uncomputed
+            if step == 0.0:
                 amp = 0.0
                 break
-            amp *= sign * math.sqrt(num / den)
+            amp *= step
         if amp != 0.0:
             amps[q_bits] = phase * norm_const * amp
     return SchurVector(N=N, lam=lam, amplitudes=amps)

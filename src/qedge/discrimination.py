@@ -91,7 +91,7 @@ def srm_block(g: SemiseparableGram) -> float:
     A rank-one block has sqrt(G) = G / tr G, so its value is sum eta^2 / sum eta.
     """
     if g.rank_one:
-        eta = np.exp(g.log_eta)
+        eta = g.priors
         return float(eta @ eta / eta.sum())
     mu, vec = eigh_tridiagonal(*g.inverse_tridiagonal())
     root_diag = vec ** 2 @ mu ** -0.5
@@ -101,21 +101,11 @@ def srm_block(g: SemiseparableGram) -> float:
 def optimal_block(g: SemiseparableGram, gap_tol: float = 1e-8) -> tuple[float, SdpSolution]:
     """Optimal joint success of one block together with its SDP certificate.
 
-    Rank-one blocks (identical states) short-circuit to the largest prior.
-    The reported value is floored at the SRM value (itself a feasible POVM),
-    so it never drops below the SRM by solver tolerance.
+    Rank-one blocks (identical states) get the SDP solver's exact solution:
+    the largest prior, with gap 0 and no Newton step.  The reported value is
+    floored at the SRM value (itself a feasible POVM), so it never drops
+    below the SRM by solver tolerance.
     """
-    if g.rank_one:
-        eta = np.asarray(g.block.priors)
-        k_star = int(np.argmax(eta))
-        n = g.order
-        primal = [np.zeros((n, n)) for _ in range(n)]
-        primal[k_star] = np.eye(n)
-        top = g.v / np.linalg.norm(g.v)   # G is proportional to v v^T
-        val = float(eta[k_star])
-        sol = SdpSolution(primal=primal, dual=val * np.outer(top, top), primal_value=val,
-                          dual_value=val, gap=0.0, iterations=0, status="converged")
-        return val, sol
     root = psd_sqrt(g.dense)
     try:
         sol = solve_discrimination_sdp(root, gap_tol=gap_tol)
@@ -195,7 +185,6 @@ def success_curve(
     n_values: list[int],
     method: str,
     gap_tol: float = 1e-8,
-    threads: int = 1,
 ) -> list[CurvePoint]:
     """Success probability for each N in ascending n_values; failures are recorded per row."""
     if sorted(n_values) != list(n_values):
@@ -221,9 +210,4 @@ def success_curve(
                 status = "gapExceeded"
         return CurvePoint(n, d, scenario, method, res.total, gap, status, iterations)
 
-    if threads > 1 and len(n_values) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, n_values))
     return [one(n) for n in n_values]

@@ -28,7 +28,6 @@ __all__ = [
     "build_gram_known",
     "build_gram_unknown",
     "dump_gram_csv",
-    "known_blocks",
     "rescale_gram",
     "tridiag_inverse_reference",
 ]
@@ -46,7 +45,6 @@ class KnownBlock:
     params: StringParams
     ntilde0: int
     k_range: range = field(repr=False)
-    priors: tuple[float, ...] = field(repr=False)
 
     @property
     def excitations(self) -> int:
@@ -66,25 +64,14 @@ class KnownBlock:
         return [(k, Fraction(mult, N * sym_dim(k, d))) for k in self.k_range]
 
 
-def known_blocks(params: StringParams) -> list[KnownBlock]:
-    """All known-unknown blocks, ntilde0 = 0..N."""
-    out = []
-    for ntilde0 in range(params.N + 1):
-        e = params.N - ntilde0
-        k_range = range(max(e, 1), params.N + 1)
-        mult = math.comb(e + params.d - 2, params.d - 2)
-        pri = tuple(float(Fraction(mult, params.N * sym_dim(k, params.d))) for k in k_range)
-        out.append(KnownBlock(params=params, ntilde0=ntilde0, k_range=k_range, priors=pri))
-    return out
-
-
 @dataclass(frozen=True)
 class SemiseparableGram:
     """Gram block held as its semiseparable log-generators.
 
     G[i, j] = v[i] * u[j] for i <= j (and symmetrically below), where the
     index i runs over the block's hypothesis labels in ascending order,
-    u = sqrt(eta * r) and v = sqrt(eta / r).  ``log_delta`` holds the
+    u = sqrt(eta * r) and v = sqrt(eta / r).  The priors eta live only in
+    ``log_eta`` (``priors`` exponentiates them).  ``log_delta`` holds the
     increments Delta_i = r_i - r_{i+1} (r_n = 0), so that
     G = C C^T with C = diag(v) U diag(sqrt(Delta)), U upper-triangular ones.
     The dense matrix is assembled only when asked for.
@@ -104,6 +91,11 @@ class SemiseparableGram:
         return self.block.labels
 
     @property
+    def priors(self) -> np.ndarray:
+        """Joint priors eta_k, the diagonal of G."""
+        return np.exp(self.log_eta)
+
+    @property
     def u(self) -> np.ndarray:
         return np.exp(0.5 * (self.log_eta + self.log_r))
 
@@ -118,7 +110,7 @@ class SemiseparableGram:
 
     @property
     def trace(self) -> float:
-        return float(np.sum(np.exp(self.log_eta)))
+        return float(np.sum(self.priors))
 
     def inverse_tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of G^{-1} = B^T B, where B = C^{-1} is upper bidiagonal.
@@ -195,8 +187,7 @@ def build_gram_unknown(N: int, d: int, lam: int) -> SemiseparableGram:
     params = StringParams(N, d)
     k_range = hypothesis_range(N, lam)
     log_eta, log_r, log_delta = _log_generators(N, d, lam=lam)
-    block = IrrepBlock(params=params, lam=lam, k_range=k_range,
-                       priors=tuple(np.exp(log_eta).tolist()))
+    block = IrrepBlock(params=params, lam=lam, k_range=k_range)
     return SemiseparableGram(block, log_eta, log_r, log_delta)
 
 
@@ -214,8 +205,7 @@ def build_gram_known(N: int, d: int, ntilde0: int) -> SemiseparableGram:
     params = StringParams(N, d)
     e = N - ntilde0
     log_eta, log_r, log_delta = _log_generators(N, d, e=e)
-    block = KnownBlock(params=params, ntilde0=ntilde0, k_range=range(max(e, 1), N + 1),
-                       priors=tuple(np.exp(log_eta).tolist()))
+    block = KnownBlock(params=params, ntilde0=ntilde0, k_range=range(max(e, 1), N + 1))
     return SemiseparableGram(block, log_eta, log_r, log_delta)
 
 

@@ -31,6 +31,8 @@ __all__ = [
 
 _FINAL_T_MARGIN = 1.25   # final barrier parameter 1.25*nu/gap_tol, so gap ~ 0.8*gap_tol
 _BARRIER_GROWTH = 25.0
+_RANK_TOL = 1e-12        # eigenvalues below _RANK_TOL * lambda_max count as zero
+_MAX_ITER = 200          # Newton steps per SDP solve, over all barrier parameters
 
 
 class NotPsdError(ValueError):
@@ -49,13 +51,13 @@ def eig_sym(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(0.5 * (m + m.T))
 
 
-def psd_sqrt(m: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:
-    """Symmetric PSD square root, deflating eigenvalues below rank_tol * lambda_max."""
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root, deflating eigenvalues below _RANK_TOL * lambda_max."""
     w, v = eig_sym(m)
     wmax = max(w[-1], 0.0) if w.size else 0.0
-    if w.size and w[0] < -rank_tol * max(wmax, 1e-300):
-        raise NotPsdError(f"matrix has eigenvalue {w[0]:.3e} < -rank_tol*lambda_max")
-    w = np.where(w > rank_tol * wmax, w, 0.0)
+    if w.size and w[0] < -_RANK_TOL * max(wmax, 1e-300):
+        raise NotPsdError(f"matrix has eigenvalue {w[0]:.3e} < -{_RANK_TOL:g} * lambda_max")
+    w = np.where(w > _RANK_TOL * wmax, w, 0.0)
     root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)
 
@@ -73,26 +75,22 @@ class SdpSolution:
     status: str = "converged"   # converged | maxIterations | numericalFailure
 
 
-def solve_discrimination_sdp(
-    sqrt_gram: np.ndarray,
-    gap_tol: float = 1e-8,
-    rank_tol: float = 1e-12,
-    max_iter: int = 200,
-) -> SdpSolution:
+def solve_discrimination_sdp(sqrt_gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolution:
     """Optimal-discrimination SDP for the block whose state vectors are sqrt_gram's columns.
 
     Returns primal POVM matrices E_k (sum = identity), the dual certificate Y
     with Y >= rho_k, and the duality gap.  Degenerate blocks are handled by
     deflation onto the numerical range of sqrt_gram; the identity remainder on
     the null space is assigned to the hypothesis of largest prior (lowest
-    index on ties).
+    index on ties).  A rank-one block (identical states) is solved exactly by
+    always guessing that hypothesis: gap 0 and no Newton step.
     """
     s = np.asarray(sqrt_gram, dtype=float)
     n = s.shape[0]
     if s.shape != (n, n):
         raise ValueError(f"sqrt_gram must be square, got {s.shape}")
     w, vecs = np.linalg.eigh(0.5 * (s + s.T))
-    sig_tol = np.sqrt(rank_tol) * max(w[-1], 0.0)
+    sig_tol = np.sqrt(_RANK_TOL) * max(w[-1], 0.0)
     keep = w > sig_tol
     r = int(keep.sum())
     if r == 0:
@@ -108,7 +106,7 @@ def solve_discrimination_sdp(
     if r == 1:
         return _rank_one_solution(b, vr, n, k_star)
 
-    sol = _barrier_solve(b, gap_tol, max_iter)
+    sol = _barrier_solve(b, gap_tol)
     if sol is None:
         return SdpSolution(primal=[np.zeros((n, n))] * n, dual=np.zeros((n, n)),
                            primal_value=float("nan"), dual_value=float("nan"),
@@ -153,7 +151,7 @@ def _barrier_phi(y: np.ndarray, b: np.ndarray, t: float, n: int):
     return val, low, gh, q
 
 
-def _barrier_solve(b: np.ndarray, gap_tol: float, max_iter: int):
+def _barrier_solve(b: np.ndarray, gap_tol: float):
     """Path-following on min tr(Y) s.t. Y >= b_k b_k^T. Returns (Y, [E_k], iters, centered)."""
     r, n = b.shape
     nu = n * r
@@ -168,7 +166,7 @@ def _barrier_solve(b: np.ndarray, gap_tol: float, max_iter: int):
         target_tol = 1e-10 if t >= t_final else 1e-4
         prev_dec2 = np.inf
         stalls = 0
-        while iters < max_iter:
+        while iters < _MAX_ITER:
             state = _barrier_phi(y, b, t, n)
             if state is None:
                 return None

@@ -33,7 +33,7 @@ def test_parse_n_spec_rejects_garbage():
 def test_curve_csv_schema(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code = main(["curve", "--scenario", "unknown", "--d", "2", "--method", "srm",
-                 "--n", "2:6:2", "--out", str(out), "--threads", "1"])
+                 "--n", "2:6:2", "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "N,d,scenario,method,p_success,gap,status"
@@ -46,7 +46,7 @@ def test_curve_csv_schema(tmp_path, capsys):
 def test_curve_sdp_anchor(tmp_path):
     out = tmp_path / "c.csv"
     code = main(["curve", "--scenario", "unknown", "--d", "2", "--method", "sdp",
-                 "--n", "2", "--out", str(out), "--threads", "1"])
+                 "--n", "2", "--out", str(out)])
     assert code == 0
     row = out.read_text().strip().split("\n")[1].split(",")
     assert float(row[4]) == pytest.approx(0.625, abs=1e-8)
@@ -58,7 +58,7 @@ def test_curve_deterministic_output(tmp_path):
     for name in ("a.csv", "b.csv"):
         path = tmp_path / name
         main(["curve", "--d", "2", "--method", "srm", "--n", "2:10:2",
-              "--out", str(path), "--threads", "2"])
+              "--out", str(path)])
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
 
@@ -75,7 +75,7 @@ def test_curve_emitted_values_in_range(tmp_path):
 def test_curve_partial_failure_exit_code(tmp_path):
     out = tmp_path / "c.csv"
     code = main(["curve", "--d", "2", "--method", "sdp", "--n", "2,70",
-                 "--out", str(out), "--threads", "1"])
+                 "--out", str(out)])
     assert code == 2
     lines = out.read_text().strip().split("\n")
     assert lines[1].endswith("ok")
@@ -88,15 +88,12 @@ def test_curve_json_format(tmp_path):
                  "--format", "json", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
+    assert set(doc["config"]) == {"command", "scenario", "d", "n_values", "method",
+                                  "gap_tol", "format", "deterministic", "version"}
     assert doc["config"]["deterministic"] is True
+    assert doc["config"]["n_values"] == [2, 4]
     assert doc["config"]["method"] == "srm"
     assert [r["N"] for r in doc["rows"]] == [2, 4]
-
-
-def test_curve_threads_default_one(tmp_path):
-    out = tmp_path / "c.json"
-    assert main(["curve", "--n", "2", "--format", "json", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["config"]["threads"] == 1
 
 
 def test_curve_row_status_follows_block_certificates():
@@ -113,6 +110,7 @@ def test_curve_row_status_follows_block_certificates():
 def test_usage_errors_exit_one(capsys):
     assert main(["curve", "--d", "2", "--n", ""]) == 1
     assert main(["curve", "--d", "2", "--n", "oops"]) == 1
+    assert main(["curve", "--n", "2", "--threads", "2"]) == 1   # sweeps are serial
 
 
 def test_asymptote_report(tmp_path):

@@ -2,20 +2,20 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from qedge import (
     CapacityError,
+    build_gram_unknown,
     cg_coefficient,
     hypothesis_range,
-    irrep_blocks,
     irrep_dim,
     omega_vector,
     overlap_closed,
     overlap_oracle,
     priors,
     sym_dim,
-    StringParams,
 )
 from qedge.combinatorics import _yamanouchi_sequences, yamanouchi_valid
 
@@ -110,11 +110,13 @@ def test_prior_normalization_exact(n, d):
 
 
 def test_blocks_expose_float_priors():
-    blocks = irrep_blocks(StringParams(6, 3))
-    total = sum(sum(b.priors) for b in blocks)
-    assert abs(total - 1.0) < 1e-12
-    assert blocks[1].j == 2.0
-    assert blocks[1].labels == (1, 2, 3, 4, 5)
+    grams = [build_gram_unknown(6, 3, lam) for lam in range(4)]
+    for g in grams:
+        exact = np.array([float(p) for _, p in g.block.priors_exact()])
+        assert np.abs(g.priors - exact).max() <= 1e-14 * exact.max()
+    assert abs(sum(g.priors.sum() for g in grams) - 1.0) < 1e-12
+    assert grams[1].block.j == 2.0
+    assert grams[1].labels == (1, 2, 3, 4, 5)
 
 
 def test_cg_coefficient_table_entries():

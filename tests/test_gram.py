@@ -8,12 +8,10 @@ import pytest
 from qedge import (
     build_gram_known,
     build_gram_unknown,
-    known_blocks,
     overlap_oracle,
     rescale_gram,
     sym_dim,
     tridiag_inverse_reference,
-    StringParams,
 )
 from qedge.gram import dump_gram_csv
 
@@ -40,7 +38,8 @@ def test_unknown_gram_diagonal_is_priors():
     for n, d in [(2, 2), (7, 3), (12, 4), (9, 8)]:
         for lam in range(n // 2 + 1):
             g = build_gram_unknown(n, d, lam)
-            assert np.abs(np.diag(g.dense) - np.asarray(g.block.priors)).max() < 1e-14
+            exact = np.array([float(p) for _, p in g.block.priors_exact()])
+            assert np.abs(np.diag(g.dense) - exact).max() < 1e-14
 
 
 def test_unknown_gram_matches_oracle():
@@ -48,7 +47,7 @@ def test_unknown_gram_matches_oracle():
         for lam in range(n // 2 + 1):
             g = build_gram_unknown(n, 2, lam)
             ks = g.labels
-            eta = g.block.priors
+            eta = [float(p) for _, p in g.block.priors_exact()]
             for i, k in enumerate(ks):
                 for jj in range(i, len(ks)):
                     expected = math.sqrt(eta[i] * eta[jj]) * overlap_oracle(n, k, ks[jj], lam)
@@ -121,10 +120,12 @@ def test_known_gram_d2_reduction():
 def test_known_gram_diagonal_and_normalization():
     for n, d in [(5, 2), (6, 3), (7, 4)]:
         total = Fraction(0)
-        for block in known_blocks(StringParams(n, d)):
-            g = build_gram_known(n, d, block.ntilde0)
-            assert np.abs(np.diag(g.dense) - np.asarray(block.priors)).max() < 1e-14
-            total += sum(p for _, p in block.priors_exact())
+        for ntilde0 in range(n + 1):
+            g = build_gram_known(n, d, ntilde0)
+            exact = g.block.priors_exact()
+            assert [k for k, _ in exact] == list(g.labels)
+            assert np.abs(np.diag(g.dense) - np.array([float(p) for _, p in exact])).max() < 1e-14
+            total += sum(p for _, p in exact)
         assert total == 1
 
 

@@ -104,7 +104,7 @@ def test_rank_one_blocks():
             g = build_gram_known(n, d, ntilde0)
             assert g.rank_one == (ntilde0 == n or g.order == 1)
         g = build_gram_unknown(n, d, 0)
-        eta = np.asarray(g.block.priors)
+        eta = g.priors
         assert srm_block(g) == pytest.approx(eta @ eta / eta.sum(), rel=1e-14)
         assert np.linalg.matrix_rank(g.dense, tol=1e-12 * g.trace) == 1
 
