@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import logging
+import math
 import sys
 from typing import Optional
 
-import numpy as np
-
-from . import __version__
+from . import __version__, verify
 from .asymptotics import (
     DegeneratePadeError,
     NotTabulatedError,
@@ -23,15 +23,8 @@ from .asymptotics import (
     p0_via_integral,
     p0_via_primitive,
 )
-from .combinatorics import StringParams, overlap_closed, overlap_oracle
-from .discrimination import ScenarioSpec, success_curve, total_success
-from .gram import (
-    build_gram_known,
-    build_gram_unknown,
-    dump_gram_csv,
-    rescale_gram,
-    tridiag_inverse_reference,
-)
+from .discrimination import success_curve
+from .gram import build_gram_known, build_gram_unknown, dump_gram_csv, rescale_gram
 
 __all__ = ["main", "parse_n_spec"]
 
@@ -80,6 +73,20 @@ def parse_n_spec(spec: str) -> list[int]:
     return out
 
 
+def _dimension(text: str) -> int:
+    d = int(text)
+    if d < 2:
+        raise argparse.ArgumentTypeError(f"d must be >= 2, got {d}")
+    return d
+
+
+def _gap_tol(text: str) -> float:
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"gap tolerance must be positive and finite, got {text}")
+    return tol
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qedge", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qedge {__version__}")
@@ -87,28 +94,29 @@ def _build_parser() -> _Parser:
 
     curve = sub.add_parser("curve", help="success probability vs string length")
     curve.add_argument("--scenario", choices=("unknown", "known"), default="unknown")
-    curve.add_argument("--d", type=int, default=2)
+    curve.add_argument("--d", type=_dimension, default=2)
     curve.add_argument("--n", required=True, help="N range spec, e.g. 2:18:2,22:198:4")
     curve.add_argument("--method", choices=("srm", "sdp"), default="srm")
-    curve.add_argument("--gap-tol", type=float, default=1e-8)
+    curve.add_argument("--gap-tol", type=_gap_tol, default=1e-8)
     curve.add_argument("--out", default=None)
     curve.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     curve.add_argument("--verbose", action="store_true")
 
     asym = sub.add_parser("asymptote", help="limiting success probabilities for one d")
-    asym.add_argument("--d", type=int, required=True)
+    asym.add_argument("--d", type=_dimension, required=True)
     asym.add_argument("--estimate-coeffs", action="store_true",
                       help="add numeric low-order series-coefficient estimates")
     asym.add_argument("--out", default=None)
     asym.add_argument("--verbose", action="store_true")
 
-    verify = sub.add_parser("verify", help="run a property suite")
-    verify.add_argument("suite", choices=("oracle", "tridiag", "holevo", "all"))
-    verify.add_argument("--verbose", action="store_true")
+    check = sub.add_parser("verify", help="run a property suite of qedge.verify")
+    check.add_argument("suite", choices=(*verify.SUITES, "all"))
+    check.add_argument("--verbose", action="store_true",
+                       help="log each verified N of the holevo suite to stderr")
 
     dump = sub.add_parser("gram-dump", help="dump one Gram block as CSV (debug)")
     dump.add_argument("--scenario", choices=("unknown", "known"), default="unknown")
-    dump.add_argument("--d", type=int, default=2)
+    dump.add_argument("--d", type=_dimension, default=2)
     dump.add_argument("--n", type=int, required=True)
     dump.add_argument("--block", type=int, required=True,
                       help="irrep lam (unknown) or ntilde0 (known)")
@@ -210,96 +218,18 @@ def _cmd_gram_dump(args) -> int:
     return 0
 
 
-def _verify_oracle(verbose: bool) -> tuple[int, int, str]:
-    passed = failed = 0
-    first = ""
-    for n_val in range(2, 13):
-        for lam in range(n_val // 2 + 1):
-            ks = list(range(max(lam, 1), n_val - lam + 1))
-            for i, k in enumerate(ks):
-                for k2 in ks[i:]:
-                    closed = overlap_closed(n_val, k, k2, lam)
-                    orac = overlap_oracle(n_val, k, k2, lam)
-                    if abs(closed - orac) <= 1e-12:
-                        passed += 1
-                    else:
-                        failed += 1
-                        if not first:
-                            first = (f"N={n_val} lam={lam} k={k} k'={k2}: "
-                                     f"closed={closed!r} oracle={orac!r}")
-    return passed, failed, first
-
-
-def _verify_tridiag(verbose: bool) -> tuple[int, int, str]:
-    passed = failed = 0
-    first = ""
-    for n_val, d in [(4, 2), (5, 3), (12, 2), (20, 4), (31, 3), (40, 4), (60, 2), (60, 3)]:
-        for lam in range(1, n_val // 2 + 1):
-            g = rescale_gram(build_gram_unknown(n_val, d, lam))
-            if np.linalg.cond(g.dense) > 1e12:
-                continue
-            dense_inv = np.linalg.inv(g.dense)
-            diag, sup = tridiag_inverse_reference(n_val, d, n_val / 2 - lam)
-            size = len(diag)
-            ref = np.zeros((size, size))
-            idx = np.arange(size)
-            ref[idx, idx] = diag
-            if size > 1:
-                ref[idx[:-1], idx[:-1] + 1] = sup
-                ref[idx[:-1] + 1, idx[:-1]] = sup
-            dev = np.abs(dense_inv - ref).max() / np.abs(dense_inv).max()
-            if dev <= 1e-8:
-                passed += 1
-            else:
-                failed += 1
-                if not first:
-                    first = f"N={n_val} d={d} lam={lam}: relative deviation {dev:.3e}"
-    return passed, failed, first
-
-
-def _verify_holevo(verbose: bool) -> tuple[int, int, str]:
-    from .linalg import psd_sqrt
-
-    passed = failed = 0
-    first = ""
-    for n_val in range(2, 31):
-        res = total_success(ScenarioSpec("unknown", StringParams(n_val, 2), "sdp"))
-        for label, sol in sorted(res.certificates.items()):
-            g = build_gram_unknown(n_val, 2, label)
-            root = psd_sqrt(g.dense)
-            checks_ok = sol.gap <= 1e-8
-            for k in range(g.order):
-                rho = np.outer(root[:, k], root[:, k])
-                if np.linalg.eigvalsh(sol.dual - rho).min() < -1e-8:
-                    checks_ok = False
-                if abs(np.sum((sol.dual - rho) * sol.primal[k])) > 1e-8:
-                    checks_ok = False
-            if checks_ok:
-                passed += 1
-            else:
-                failed += 1
-                if not first:
-                    first = f"N={n_val} lam={label}: gap={sol.gap:.3e}"
-        if verbose:
-            print(f"# verified N={n_val}", file=sys.stderr)
-    return passed, failed, first
-
-
 def _cmd_verify(args) -> int:
-    suites = {
-        "oracle": _verify_oracle,
-        "tridiag": _verify_tridiag,
-        "holevo": _verify_holevo,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
+    if args.verbose:
+        logging.basicConfig(level=logging.INFO, format="# %(message)s")
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     any_failed = False
     for name in names:
-        passed, failed, first = suites[name](args.verbose)
-        status = "ok" if failed == 0 else "FAILED"
-        print(f"{name}: {passed} passed, {failed} failed [{status}]")
-        if failed:
+        res = verify.SUITES[name]()
+        status = "ok" if res.failed == 0 else "FAILED"
+        print(f"{name}: {res.passed} passed, {res.failed} failed [{status}]")
+        if res.failed:
             any_failed = True
-            print(f"  first counterexample: {first}")
+            print(f"  first counterexample: {res.first}")
     return 3 if any_failed else 0
 
 

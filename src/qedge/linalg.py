@@ -84,7 +84,10 @@ def solve_discrimination_sdp(sqrt_gram: np.ndarray, gap_tol: float = 1e-8) -> Sd
     the null space is assigned to the hypothesis of largest prior (lowest
     index on ties).  A rank-one block (identical states) is solved exactly by
     always guessing that hypothesis: gap 0 and no Newton step.
+    Raises ValueError unless 0 < gap_tol < inf.
     """
+    if not 0.0 < gap_tol < np.inf:
+        raise ValueError(f"gap_tol must be positive and finite, got {gap_tol!r}")
     s = np.asarray(sqrt_gram, dtype=float)
     n = s.shape[0]
     if s.shape != (n, n):

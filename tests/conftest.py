@@ -1,3 +1,9 @@
+import os
+
+# One BLAS thread: the small dense blocks are several times slower with more.
+# Set before any test module imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 
 _CRITERIA: dict[int, tuple[bool, str]] = {}

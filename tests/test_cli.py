@@ -1,10 +1,10 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+from qedge import verify
 from qedge.cli import main, parse_n_spec
 from qedge.cli import _UsageError
 
@@ -97,10 +97,9 @@ def test_curve_json_format(tmp_path):
 
 
 def test_curve_row_status_follows_block_certificates():
-    # known N = 40, block n1 = 1 stops at maxIterations; the row must say so.
-    # One BLAS thread: the small-block SDP is several times slower with more.
+    # known N = 40, block n1 = 1 stops at maxIterations; the row must say so
     proc = run_cli(["curve", "--scenario", "known", "--method", "sdp", "--n", "40",
-                    "--format", "json"], env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+                    "--format", "json"])
     assert proc.returncode == 2
     (row,) = json.loads(proc.stdout)["rows"]
     assert row["status"] == "maxIterations"
@@ -111,6 +110,22 @@ def test_usage_errors_exit_one(capsys):
     assert main(["curve", "--d", "2", "--n", ""]) == 1
     assert main(["curve", "--d", "2", "--n", "oops"]) == 1
     assert main(["curve", "--n", "2", "--threads", "2"]) == 1   # sweeps are serial
+
+
+@pytest.mark.parametrize("tol", ["0", "-0.5", "inf", "nan"])
+def test_gap_tol_out_of_range_is_usage_error(tol, capsys):
+    assert main(["curve", "--n", "6", "--method", "sdp", "--gap-tol", tol]) == 1
+    assert "gap tolerance must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["curve", "--n", "4"],
+    ["asymptote"],
+    ["gram-dump", "--n", "4", "--block", "1"],
+])
+def test_dimension_below_two_is_usage_error(command, capsys):
+    assert main([*command, "--d", "1"]) == 1
+    assert "d must be >= 2" in capsys.readouterr().err
 
 
 def test_asymptote_report(tmp_path):
@@ -160,27 +175,32 @@ def test_gram_dump(tmp_path):
     assert lines[0] == "k,1,2,3"
 
 
-def test_verify_oracle_suite():
+def test_verify_oracle_suite(capsys):
     assert main(["verify", "oracle"]) == 0
+    assert capsys.readouterr().out == "oracle: 944 passed, 0 failed [ok]\n"
 
 
-def test_verify_tridiag_suite():
-    assert main(["verify", "tridiag"]) == 0
-
-
-def test_verify_holevo_suite():
-    assert main(["verify", "holevo"]) == 0
+def test_verify_all_runs_every_suite(monkeypatch, capsys):
+    counts = {"oracle": 3, "tridiag": 2, "holevo": 1}
+    monkeypatch.setattr(verify, "SUITES", {
+        name: lambda n=n: verify.SuiteResult(n, 0, "") for name, n in counts.items()
+    })
+    assert main(["verify", "all"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "oracle: 3 passed, 0 failed [ok]",
+        "tridiag: 2 passed, 0 failed [ok]",
+        "holevo: 1 passed, 0 failed [ok]",
+    ]
 
 
 def test_verify_failure_exits_three(monkeypatch, capsys):
-    import qedge.cli as cli
-
     monkeypatch.setitem(
-        cli.__dict__, "_verify_oracle", lambda verbose: (3, 1, "N=4 lam=1 synthetic")
+        verify.SUITES, "oracle", lambda: verify.SuiteResult(3, 1, "N=4 lam=1 synthetic")
     )
     assert main(["verify", "oracle"]) == 3
     out = capsys.readouterr().out
-    assert "first counterexample" in out
+    assert out.splitlines() == ["oracle: 3 passed, 1 failed [FAILED]",
+                                "  first counterexample: N=4 lam=1 synthetic"]
 
 
 def test_cli_subprocess_entry():

@@ -174,16 +174,6 @@ def test_omega_vector_guards():
         omega_vector(6, 1, 2)   # k < lam
 
 
-def test_overlap_oracle_matches_closed_form():
-    for n in range(2, 13):
-        for lam in range(n // 2 + 1):
-            ks = list(hypothesis_range(n, lam))
-            vecs = {k: omega_vector(n, k, lam) for k in ks}
-            for i, k in enumerate(ks):
-                for k2 in ks[i:]:
-                    assert abs(vecs[k].dot(vecs[k2]) - overlap_closed(n, k, k2, lam)) <= 1e-12
-
-
 def test_overlap_examples():
     assert overlap_oracle(4, 1, 1, 1) == pytest.approx(1.0, abs=1e-12)
     assert overlap_oracle(4, 1, 2, 1) == pytest.approx(math.sqrt(1 / 3), abs=1e-12)

@@ -16,17 +16,6 @@ from qedge import (
 from qedge.gram import dump_gram_csv
 
 
-def dense_from_reference(diag, sup):
-    n = len(diag)
-    ref = np.zeros((n, n))
-    idx = np.arange(n)
-    ref[idx, idx] = diag
-    if n > 1:
-        ref[idx[:-1], idx[:-1] + 1] = sup
-        ref[idx[:-1] + 1, idx[:-1]] = sup
-    return ref
-
-
 def test_unknown_gram_n2_exact():
     g = build_gram_unknown(2, 2, 0)
     expected = np.array([[3 / 8, math.sqrt(3) / 4], [math.sqrt(3) / 4, 1 / 2]])
@@ -196,18 +185,6 @@ def test_tridiag_reference_single_hypothesis_block():
     assert sup.shape == (0,)
     gt = rescale_gram(build_gram_unknown(4, 2, 2))
     assert diag[0] == pytest.approx(1 / gt.dense[0, 0])
-
-
-def test_tridiag_reference_matches_dense_inverse():
-    for n, d in [(4, 2), (5, 3), (12, 2), (20, 4), (31, 3), (60, 2), (60, 3)]:
-        for lam in range(1, n // 2 + 1):
-            gt = rescale_gram(build_gram_unknown(n, d, lam))
-            if np.linalg.cond(gt.dense) > 1e12:
-                continue
-            inv = np.linalg.inv(gt.dense)
-            diag, sup = tridiag_inverse_reference(n, d, n / 2 - lam)
-            ref = dense_from_reference(diag, sup)
-            assert np.abs(inv - ref).max() <= 1e-8 * np.abs(inv).max()
 
 
 def test_tridiag_reference_guards():

@@ -86,6 +86,12 @@ def test_sdp_single_hypothesis():
     assert sol.status == "converged"
 
 
+@pytest.mark.parametrize("gap_tol", [0.0, -1e-8, math.inf, math.nan])
+def test_sdp_rejects_gap_tol_out_of_range(gap_tol):
+    with pytest.raises(ValueError, match="gap_tol"):
+        solve_discrimination_sdp(psd_sqrt(np.array([[0.5, 0.2], [0.2, 0.5]])), gap_tol=gap_tol)
+
+
 @pytest.mark.parametrize("overlap", [0.0, 0.3, 1 / math.sqrt(2), 0.95, 0.999])
 def test_sdp_two_state_helstrom(overlap):
     g = np.array([[0.5, overlap / 2], [overlap / 2, 0.5]])
