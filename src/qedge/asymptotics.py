@@ -175,23 +175,19 @@ def pade(series: list[Fraction], n: int, m: int) -> PadeApproximant:
     series = [Fraction(c) for c in series]
     if len(series) < n + m + 1:
         raise ValueError(f"series must reach order n+m={n+m}, got {len(series) - 1}")
-    if m == 0:
-        denom: tuple[Fraction, ...] = ()
-        numer = tuple(series[: n + 1])
-    else:
-        aug = [
-            [series[s - q] if s - q >= 0 else Fraction(0) for q in range(1, m + 1)]
-            + [-series[s]]
-            for s in range(n + 1, n + m + 1)
-        ]
-        bcoef = _solve_exact(aug)
-        if bcoef is None:
-            raise DegeneratePadeError(f"singular Pade system at order [{n}/{m}]")
-        denom = tuple(bcoef)
-        numer = tuple(
-            series[s] + sum(denom[q - 1] * series[s - q] for q in range(1, min(m, s) + 1))
-            for s in range(n + 1)
-        )
+    aug = [
+        [series[s - q] if s - q >= 0 else Fraction(0) for q in range(1, m + 1)]
+        + [-series[s]]
+        for s in range(n + 1, n + m + 1)
+    ]
+    bcoef = _solve_exact(aug)
+    if bcoef is None:
+        raise DegeneratePadeError(f"singular Pade system at order [{n}/{m}]")
+    denom = tuple(bcoef)
+    numer = tuple(
+        series[s] + sum(denom[q - 1] * series[s - q] for q in range(1, min(m, s) + 1))
+        for s in range(n + 1)
+    )
     approx = PadeApproximant(order=(n, m), numer=numer, denom=denom,
                              defects=_denominator_roots(denom))
     for ours, theirs in zip(approx.expansion(n + m), series):
@@ -217,36 +213,13 @@ def _solve_exact(aug: list[list[Fraction]]) -> list[Fraction] | None:
     return [aug[r][size] for r in range(size)]
 
 
-def _denominator_roots(denom: tuple[Fraction, ...], hi: float = 1.0 + 1e-6) -> tuple[float, ...]:
-    """Real roots of 1 + sum B_q z^q inside [0, hi], by sign scan plus polynomial roots."""
-    if not denom:
-        return ()
-
-    def val(z: float) -> float:
-        acc = 0.0
-        for b in reversed(denom):
-            acc = acc * z + float(b)
-        return acc * z + 1.0
-
-    candidates = []
+def _denominator_roots(denom: tuple[Fraction, ...]) -> tuple[float, ...]:
+    """Real roots of 1 + sum B_q z^q inside [0, 1 + 1e-6], from the companion-matrix
+    eigenvalues (np.roots); roots closer than 1e-9 count once."""
     roots = np.roots([float(b) for b in denom[::-1]] + [1.0])
-    for root in roots:
-        if abs(root.imag) < 1e-9 and -1e-12 <= root.real <= hi:
-            candidates.append(float(root.real))
-    grid = np.linspace(0.0, hi, 4097)
-    vals = np.array([val(z) for z in grid])
-    for i in np.nonzero(vals[:-1] * vals[1:] <= 0)[0]:
-        lo, up = float(grid[i]), float(grid[i + 1])
-        for _ in range(60):   # bisection
-            mid = 0.5 * (lo + up)
-            if val(lo) * val(mid) <= 0:
-                up = mid
-            else:
-                lo = mid
-        candidates.append(0.5 * (lo + up))
     out: list[float] = []
-    for z in sorted(candidates):
-        if not out or z - out[-1] > 1e-9:
+    for z in sorted(float(root.real) for root in roots if abs(root.imag) < 1e-9):
+        if -1e-12 <= z <= 1.0 + 1e-6 and (not out or z - out[-1] > 1e-9):
             out.append(z)
     return tuple(out)
 
@@ -260,36 +233,45 @@ class LimitEstimate:
     order: tuple[int, int]
 
 
-def _accepted_diagonals(table: RationalCoefficientTable, count: int = 2) -> list[PadeApproximant]:
-    """Highest defect-free diagonal approximants [s/s] in z = x^2, descending order."""
-    series = table.series_in_z()
+def _accepted(
+    series: list[Fraction], orders: list[tuple[int, int]], what: str
+) -> list[PadeApproximant]:
+    """The first two defect-free Pade approximants of ``series`` among ``orders``, in order.
+
+    Orders whose matching system is singular or whose denominator has a real
+    root in [0, 1] are skipped; if none is left, DegeneratePadeError names ``what``.
+    """
     out: list[PadeApproximant] = []
-    for s in range(len(table) // 2, 0, -1):
+    for n, m in orders:
         try:
-            approx = pade(series, s, s)
+            approx = pade(series, n, m)
         except DegeneratePadeError:
             continue
-        if approx.defects:
-            continue
-        out.append(approx)
-        if len(out) == count:
-            break
+        if not approx.defects:
+            out.append(approx)
+            if len(out) == 2:
+                break
     if not out:
-        raise DegeneratePadeError(f"all diagonal Pade orders defective for d={table.d}")
+        raise DegeneratePadeError(f"all {what} Pade orders defective")
     return out
+
+
+def _spread(values: list[float]) -> float:
+    return abs(values[0] - values[1]) if len(values) > 1 else float("nan")
 
 
 def p0_via_integral(d: int) -> LimitEstimate:
     """Limiting success probability as the integral over x in [0,1] of the highest
-    accepted diagonal Pade of (N/2)P(x); error = spread to the next accepted order."""
+    accepted diagonal Pade [s/s] of (N/2)P(x) in z = x^2; error = spread to the
+    next accepted order."""
     table = coefficient_table(d)
-    accepted = _accepted_diagonals(table, count=2)
+    orders = [(s, s) for s in range(len(table) // 2, 0, -1)]
+    accepted = _accepted(table.series_in_z(), orders, f"d={d} diagonal")
     vals = [
         quad(lambda x, a=a: a(x * x), 0.0, 1.0, epsabs=1e-10, epsrel=1e-12, limit=200)[0]
         for a in accepted
     ]
-    err = abs(vals[0] - vals[1]) if len(vals) > 1 else float("nan")
-    return LimitEstimate(value=vals[0], error=err, order=accepted[0].order)
+    return LimitEstimate(value=vals[0], error=_spread(vals), order=accepted[0].order)
 
 
 def p0_via_primitive(d: int) -> LimitEstimate:
@@ -299,28 +281,12 @@ def p0_via_primitive(d: int) -> LimitEstimate:
     gseries = [table.coeffs[r - 1] / (2 * r + 1) for r in range(1, len(table) + 1)]
     # interleaved sequence {Q^{2n-1}_{2n}, Q^{2n+1}_{2n}}: in z these are
     # [n-1/n] and [n/n] of Q/x; descending total order 4n+1, 4n-1, ...
-    candidates: list[tuple[int, int]] = []
-    for n in range((len(gseries) - 1) // 2, 0, -1):
-        candidates.extend([(n, n), (n - 1, n)])
-    accepted: list[tuple[tuple[int, int], float]] = []
-    for nn, mm in candidates:
-        if nn + mm + 1 > len(gseries):
-            continue
-        try:
-            approx = pade(gseries, nn, mm)
-        except DegeneratePadeError:
-            continue
-        if approx.defects:
-            continue
-        accepted.append(((nn, mm), approx(1.0)))
-        if len(accepted) == 2:
-            break
-    if not accepted:
-        raise DegeneratePadeError(f"all primitive-route Pade orders defective for d={d}")
-    (order, value) = accepted[0]
-    err = abs(value - accepted[1][1]) if len(accepted) > 1 else float("nan")
+    orders = [o for n in range((len(gseries) - 1) // 2, 0, -1) for o in ((n, n), (n - 1, n))]
+    accepted = _accepted(gseries, orders, f"d={d} primitive-route")
+    vals = [a(1.0) for a in accepted]
+    n, m = accepted[0].order
     # report the order of Q itself ([2n+1/2m] in x)
-    return LimitEstimate(value=value, error=err, order=(2 * order[0] + 1, 2 * order[1]))
+    return LimitEstimate(value=vals[0], error=_spread(vals), order=(2 * n + 1, 2 * m))
 
 
 def elliptic_k(m: float) -> float:

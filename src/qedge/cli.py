@@ -18,6 +18,7 @@ from . import __version__, verify
 from .asymptotics import (
     DegeneratePadeError,
     NotTabulatedError,
+    estimate_low_order_coeffs,
     large_d_limit,
     p0_known,
     p0_via_integral,
@@ -107,7 +108,6 @@ def _build_parser() -> _Parser:
     asym.add_argument("--estimate-coeffs", action="store_true",
                       help="add numeric low-order series-coefficient estimates")
     asym.add_argument("--out", default=None)
-    asym.add_argument("--verbose", action="store_true")
 
     check = sub.add_parser("verify", help="run a property suite of qedge.verify")
     check.add_argument("suite", choices=(*verify.SUITES, "all"))
@@ -184,19 +184,12 @@ def _cmd_asymptote(args) -> int:
             "primitive_spread": primitive.error,
             "cross_route_half_spread": abs(integral.value - primitive.value) / 2.0,
         }
-    except NotTabulatedError as exc:
+    except (NotTabulatedError, DegeneratePadeError) as exc:
         report["p0_pade_integral"] = None
         report["p0_pade_primitive"] = None
         report["error_estimates"] = None
         report["reason"] = str(exc)
-    except DegeneratePadeError as exc:
-        report["p0_pade_integral"] = None
-        report["p0_pade_primitive"] = None
-        report["error_estimates"] = None
-        report["reason"] = f"all Pade orders defective: {exc}"
     if args.estimate_coeffs:
-        from .asymptotics import estimate_low_order_coeffs
-
         report["coefficient_estimates"] = [
             {"r": est.r, "value": est.value, "error": est.error}
             for est in estimate_low_order_coeffs(args.d, r_max=3)
@@ -206,12 +199,10 @@ def _cmd_asymptote(args) -> int:
 
 
 def _cmd_gram_dump(args) -> int:
-    if args.scenario == "unknown":
-        g = build_gram_unknown(args.n, args.d, args.block)
-        if args.rescaled:
-            g = rescale_gram(g)
-    else:
-        g = build_gram_known(args.n, args.d, args.block)
+    build = build_gram_unknown if args.scenario == "unknown" else build_gram_known
+    g = build(args.n, args.d, args.block)
+    if args.rescaled:
+        g = rescale_gram(g)   # ValueError (exit 1) for a known-unknown block
     buf = io.StringIO()
     dump_gram_csv(g, buf)
     _write_output(buf.getvalue(), args.out)

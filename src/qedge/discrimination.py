@@ -17,7 +17,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .combinatorics import CapacityError, StringParams
 from .gram import SemiseparableGram, build_gram_known, build_gram_unknown
-from .linalg import SdpSolution, psd_sqrt, solve_discrimination_sdp
+from .linalg import SdpSolution, _check_gap_tol, solve_discrimination_sdp
 
 __all__ = [
     "CurvePoint",
@@ -102,19 +102,19 @@ def optimal_block(g: SemiseparableGram, gap_tol: float = 1e-8) -> tuple[float, S
     """Optimal joint success of one block together with its SDP certificate.
 
     Rank-one blocks (identical states) get the SDP solver's exact solution:
-    the largest prior, with gap 0 and no Newton step.  The reported value is
-    floored at the SRM value (itself a feasible POVM), so it never drops
+    the largest prior, with gap 0 and no Newton step.  A barrier solve's value
+    is floored at the SRM value (itself a feasible POVM), so it never drops
     below the SRM by solver tolerance.
     """
-    root = psd_sqrt(g.dense)
     try:
-        sol = solve_discrimination_sdp(root, gap_tol=gap_tol)
+        sol = solve_discrimination_sdp(g.dense, gap_tol=gap_tol)
     except Exception as exc:  # attach the block label
         raise RuntimeError(f"SDP failed on block {g.block}: {exc}") from exc
     if sol.status == "numericalFailure":
         raise RuntimeError(f"SDP numerical failure on block {g.block}")
-    srm_val = float(np.sum(np.diag(root) ** 2))
-    if srm_val > sol.primal_value:
+    # only a barrier solve can fall short of the SRM; an exact rank-one solve
+    # may differ from it in the last ulp
+    if sol.iterations > 0 and (srm_val := srm_block(g)) > sol.primal_value:
         # SRM POVM ([E_k]_ii' = delta_ki delta_ki') is feasible and better here
         n = g.order
         primal = []
@@ -128,17 +128,15 @@ def optimal_block(g: SemiseparableGram, gap_tol: float = 1e-8) -> tuple[float, S
     return sol.primal_value, sol
 
 
-def total_success(
-    spec: ScenarioSpec, gap_tol: float = 1e-8, capacity: Optional[int] = None
-) -> DiscriminationResult:
+def total_success(spec: ScenarioSpec, gap_tol: float = 1e-8) -> DiscriminationResult:
     """Total average success probability of the scenario at its spec's method.
 
-    ``capacity`` overrides the default particle-count cap (SDP 64, SRM 1000).
+    Particle counts are capped at SRM_MAX_PARTICLES (SRM) and
+    SDP_MAX_PARTICLES (SDP).  Raises ValueError unless 0 < gap_tol < inf.
     """
+    _check_gap_tol(gap_tol)
     N = spec.params.N
-    cap = capacity if capacity is not None else (
-        SRM_MAX_PARTICLES if spec.method == "srm" else SDP_MAX_PARTICLES
-    )
+    cap = SRM_MAX_PARTICLES if spec.method == "srm" else SDP_MAX_PARTICLES
     if N > cap:
         raise CapacityError(f"method {spec.method!r} capped at N <= {cap}, got {N}")
     per_block: dict[int, float] = {}
@@ -186,9 +184,13 @@ def success_curve(
     method: str,
     gap_tol: float = 1e-8,
 ) -> list[CurvePoint]:
-    """Success probability for each N in ascending n_values; failures are recorded per row."""
+    """Success probability for each N in ascending n_values; failures are recorded per row.
+
+    Unsorted n_values and a gap_tol outside (0, inf) raise ValueError before any row.
+    """
     if sorted(n_values) != list(n_values):
         raise ValueError("n_values must be sorted ascending")
+    _check_gap_tol(gap_tol)
 
     def one(n: int) -> CurvePoint:
         try:

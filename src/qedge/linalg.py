@@ -6,10 +6,12 @@ The discrimination problem on one Gram block reads
     s.t.       E_k >= 0,  sum_k E_k = I,
 
 whose dual is  min tr(Y) s.t. Y >= rho_k := g_k g_k^T  for every column g_k
-of sqrtG.  The solver follows the central path of the dual log-det barrier.
-Each constraint is a rank-one downdate of Y, so Sherman-Morrison reduces the
-barrier Hessian to a Lyapunov operator plus a rank-n correction, solved per
-Newton step by one eigendecomposition plus a Woodbury system of order n.
+of sqrtG.  The solver takes G itself, whose kept eigenpairs give those columns
+in its numerical range, and follows the central path of the dual log-det
+barrier.  Each constraint is a rank-one downdate of Y, so Sherman-Morrison
+reduces the barrier Hessian to a Lyapunov operator plus a rank-n correction,
+solved per Newton step by one eigendecomposition plus a Woodbury system of
+order n.
 Primal matrices are recovered from the barrier optimality condition
 E_k = S_k^{-1}/t and renormalized so that sum_k E_k = I exactly.
 """
@@ -51,15 +53,30 @@ def eig_sym(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(0.5 * (m + m.T))
 
 
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root, deflating eigenvalues below _RANK_TOL * lambda_max."""
+def _kept_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a PSD matrix with eigenvalue above _RANK_TOL * lambda_max.
+
+    Raises NotPsdError when the lowest eigenvalue is below -_RANK_TOL * lambda_max.
+    """
     w, v = eig_sym(m)
     wmax = max(w[-1], 0.0) if w.size else 0.0
     if w.size and w[0] < -_RANK_TOL * max(wmax, 1e-300):
         raise NotPsdError(f"matrix has eigenvalue {w[0]:.3e} < -{_RANK_TOL:g} * lambda_max")
-    w = np.where(w > _RANK_TOL * wmax, w, 0.0)
+    keep = w > _RANK_TOL * wmax
+    return w[keep], v[:, keep]
+
+
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root, deflating eigenvalues below _RANK_TOL * lambda_max."""
+    w, v = _kept_spectrum(m)
     root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)
+
+
+def _check_gap_tol(gap_tol: float) -> None:
+    """Raise ValueError unless 0 < gap_tol < inf (NaN included)."""
+    if not 0.0 < gap_tol < np.inf:
+        raise ValueError(f"gap_tol must be positive and finite, got {gap_tol!r}")
 
 
 @dataclass
@@ -75,38 +92,26 @@ class SdpSolution:
     status: str = "converged"   # converged | maxIterations | numericalFailure
 
 
-def solve_discrimination_sdp(sqrt_gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolution:
-    """Optimal-discrimination SDP for the block whose state vectors are sqrt_gram's columns.
+def solve_discrimination_sdp(gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolution:
+    """Optimal-discrimination SDP for the pure-state block with Gram matrix ``gram``.
 
     Returns primal POVM matrices E_k (sum = identity), the dual certificate Y
-    with Y >= rho_k, and the duality gap.  Degenerate blocks are handled by
-    deflation onto the numerical range of sqrt_gram; the identity remainder on
-    the null space is assigned to the hypothesis of largest prior (lowest
-    index on ties).  A rank-one block (identical states) is solved exactly by
-    always guessing that hypothesis: gap 0 and no Newton step.
-    Raises ValueError unless 0 < gap_tol < inf.
+    with Y >= rho_k, and the duality gap.  One eigendecomposition of the Gram
+    gives its kept eigenpairs (w, V_r), deflated as in `psd_sqrt`; the states
+    are the columns b_k of (V_r sqrt(w))^T, so b^T b = G.  The identity
+    remainder on the null space is assigned to the hypothesis of largest prior
+    (lowest index on ties).  A block of rank at most one (identical states) is
+    solved exactly by always guessing that hypothesis: gap 0 and no Newton step.
+    Raises NotPsdError on an indefinite Gram and ValueError unless 0 < gap_tol < inf.
     """
-    if not 0.0 < gap_tol < np.inf:
-        raise ValueError(f"gap_tol must be positive and finite, got {gap_tol!r}")
-    s = np.asarray(sqrt_gram, dtype=float)
-    n = s.shape[0]
-    if s.shape != (n, n):
-        raise ValueError(f"sqrt_gram must be square, got {s.shape}")
-    w, vecs = np.linalg.eigh(0.5 * (s + s.T))
-    sig_tol = np.sqrt(_RANK_TOL) * max(w[-1], 0.0)
-    keep = w > sig_tol
-    r = int(keep.sum())
-    if r == 0:
-        eye = [np.zeros((n, n)) for _ in range(n)]
-        eye[0] = np.eye(n)
-        return SdpSolution(primal=eye, dual=np.zeros((n, n)),
-                           primal_value=0.0, dual_value=0.0, gap=0.0)
-    vr = vecs[:, keep]                     # n x r
-    b = (vr * w[keep]).T                   # r x n, columns b_k; b^T b = G = s^2
+    _check_gap_tol(gap_tol)
+    w, vr = _kept_spectrum(gram)
+    n = vr.shape[0]
+    b = (vr * np.sqrt(w)).T                # r x n, columns b_k
     diag_g = (b * b).sum(axis=0)           # priors eta_k
     k_star = int(np.argmax(np.round(diag_g / max(diag_g.max(), 1e-300), 12)))
 
-    if r == 1:
+    if w.size <= 1:
         return _rank_one_solution(b, vr, n, k_star)
 
     sol = _barrier_solve(b, gap_tol)

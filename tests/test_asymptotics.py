@@ -65,6 +65,10 @@ def test_pade_reexpansion_property():
     series = table.series_in_z()
     approx = pade(series, 5, 5)
     assert approx.expansion(10) == series[:11]
+    # [n/0] is the truncated series, from the same matching path
+    poly = pade(series, 3, 0)
+    assert poly.numer == tuple(series[:4]) and poly.denom == () and poly.defects == ()
+    assert poly.expansion(3) == series[:4]
 
 
 def test_pade_degenerate_detection():
@@ -102,6 +106,24 @@ def test_p0_primitive_route():
     assert est.value == pytest.approx(0.792308, abs=3e-6)
     # odd primitive vanishes at 0 by construction: evaluate the accepted Pade at z=0
     assert p0_via_primitive(2).value == pytest.approx(0.650118, abs=1e-5)
+
+
+def test_p0_accepted_orders():
+    # the highest defect-free orders, pinned; the primitive order is that of Q in x
+    for d, integral, primitive in [(2, (7, 7), (13, 14)), (3, (8, 8), (17, 16)),
+                                   (4, (8, 8), (17, 16)), (8, (8, 8), (17, 16))]:
+        assert p0_via_integral(d).order == integral
+        assert p0_via_primitive(d).order == primitive
+
+
+def test_p0_primitive_rejects_defective_order():
+    # d = 2: the first primitive candidate, [7/7] of Q/x in z, has one real pole
+    # in [0, 1]; the route therefore accepts the next order, [6/7] ((13, 14) in x)
+    table = coefficient_table(2)
+    gseries = [table.coeffs[r - 1] / (2 * r + 1) for r in range(1, len(table) + 1)]
+    approx = pade(gseries, 7, 7)
+    assert len(approx.defects) == 1
+    assert approx.defects[0] == pytest.approx(0.33681, abs=1e-5)
 
 
 def test_p0_cross_route_half_spread():

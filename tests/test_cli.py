@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qedge import verify
+from qedge import DegeneratePadeError, build_gram_unknown, cli, rescale_gram, verify
 from qedge.cli import main, parse_n_spec
 from qedge.cli import _UsageError
 
@@ -110,6 +110,7 @@ def test_usage_errors_exit_one(capsys):
     assert main(["curve", "--d", "2", "--n", ""]) == 1
     assert main(["curve", "--d", "2", "--n", "oops"]) == 1
     assert main(["curve", "--n", "2", "--threads", "2"]) == 1   # sweeps are serial
+    assert main(["asymptote", "--d", "2", "--verbose"]) == 1    # it has nothing to log
 
 
 @pytest.mark.parametrize("tol", ["0", "-0.5", "inf", "nan"])
@@ -160,19 +161,41 @@ def test_asymptote_untabulated_d(tmp_path):
     assert "reason" in doc
 
 
+def test_asymptote_defective_pade_reason(tmp_path, monkeypatch):
+    def exhausted(d):
+        raise DegeneratePadeError(f"all d={d} diagonal Pade orders defective")
+
+    monkeypatch.setattr(cli, "p0_via_integral", exhausted)
+    out = tmp_path / "r.json"
+    assert main(["asymptote", "--d", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["p0_pade_integral"] is None and doc["error_estimates"] is None
+    assert doc["reason"] == "all d=2 diagonal Pade orders defective"
+
+
 def p0_known_5():
     from qedge import p0_known
 
     return p0_known(5)
 
 
-def test_gram_dump(tmp_path):
+def test_gram_dump(tmp_path, capsys):
     out = tmp_path / "g.csv"
     code = main(["gram-dump", "--scenario", "unknown", "--d", "2", "--n", "4",
                  "--block", "1", "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "k,1,2,3"
+    assert main(["gram-dump", "--n", "4", "--block", "1", "--rescaled", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    g = rescale_gram(build_gram_unknown(4, 2, 1))
+    assert [float(x) for x in row[1:]] == pytest.approx(list(g.dense[0]), rel=1e-11)
+    # the rescaling is defined for unknown-unknown blocks only
+    assert main(["gram-dump", "--scenario", "known", "--n", "4", "--block", "2",
+                 "--rescaled"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown-unknown blocks only" in captured.err
 
 
 def test_verify_oracle_suite(capsys):

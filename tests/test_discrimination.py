@@ -15,6 +15,7 @@ from qedge import (
     success_curve,
     total_success,
 )
+from qedge import discrimination
 
 
 def helstrom_two_mixed(eta1, rho1, eta2, rho2):
@@ -141,6 +142,10 @@ def test_success_curve_rows_and_error_capture():
     assert rows[1].status.startswith("error:")
     with pytest.raises(ValueError):
         success_curve("unknown", 2, [4, 2], "srm")
+    # a gap_tol outside (0, inf) is rejected before any row, not recorded per row
+    for gap_tol in (0.0, math.inf):
+        with pytest.raises(ValueError, match="gap_tol"):
+            success_curve("unknown", 2, [2, 4], "sdp", gap_tol=gap_tol)
 
 
 def test_known_curve_dominates_unknown():
@@ -157,8 +162,16 @@ def test_known_sdp_certificates_converge():
     assert all(sol.gap <= 1e-8 for sol in res.certificates.values())
 
 
-def test_capacity_override():
-    res = total_success(
-        ScenarioSpec("unknown", StringParams(66, 2), "sdp"), capacity=66
-    )
+def test_sdp_total_at_capacity():
+    n = discrimination.SDP_MAX_PARTICLES
+    res = total_success(ScenarioSpec("unknown", StringParams(n, 2), "sdp"))
     assert 0.6 < res.total < 0.65
+
+
+def test_total_success_rejects_gap_tol_before_any_block(monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("blocks built despite a bad gap_tol")
+
+    monkeypatch.setattr(discrimination, "scenario_blocks", no_blocks)
+    with pytest.raises(ValueError, match="gap_tol"):
+        total_success(ScenarioSpec("unknown", StringParams(4, 2), "sdp"), gap_tol=math.inf)

@@ -77,10 +77,13 @@ def test_psd_sqrt_round_trip_gram_blocks():
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPsdError):
         psd_sqrt(np.diag([1.0, -0.5]))
+    # the solver shares the check: its Gram must be PSD
+    with pytest.raises(NotPsdError):
+        solve_discrimination_sdp(np.array([[0.5, 0.6], [0.6, 0.5]]))
 
 
 def test_sdp_single_hypothesis():
-    sol = solve_discrimination_sdp(np.array([[0.7]]))
+    sol = solve_discrimination_sdp(np.array([[0.49]]))
     assert sol.primal_value == pytest.approx(0.49, abs=1e-12)
     assert np.allclose(sol.primal[0], np.eye(1))
     assert sol.status == "converged"
@@ -89,13 +92,14 @@ def test_sdp_single_hypothesis():
 @pytest.mark.parametrize("gap_tol", [0.0, -1e-8, math.inf, math.nan])
 def test_sdp_rejects_gap_tol_out_of_range(gap_tol):
     with pytest.raises(ValueError, match="gap_tol"):
-        solve_discrimination_sdp(psd_sqrt(np.array([[0.5, 0.2], [0.2, 0.5]])), gap_tol=gap_tol)
+        solve_discrimination_sdp(np.array([[0.5, 0.2], [0.2, 0.5]]), gap_tol=gap_tol)
+
 
 
 @pytest.mark.parametrize("overlap", [0.0, 0.3, 1 / math.sqrt(2), 0.95, 0.999])
 def test_sdp_two_state_helstrom(overlap):
     g = np.array([[0.5, overlap / 2], [overlap / 2, 0.5]])
-    sol = solve_discrimination_sdp(psd_sqrt(g))
+    sol = solve_discrimination_sdp(g)
     expected = 0.5 * (1.0 + math.sqrt(1.0 - overlap**2))
     assert sol.status == "converged"
     assert sol.primal_value == pytest.approx(expected, abs=2e-8)
@@ -106,7 +110,7 @@ def test_sdp_rank_one_gram_returns_max_prior():
     eta = np.array([0.2, 0.5, 0.3])
     psi = np.ones(3) / math.sqrt(3)
     g = np.sqrt(np.outer(eta, eta))   # identical states
-    sol = solve_discrimination_sdp(psd_sqrt(g))
+    sol = solve_discrimination_sdp(g)
     assert sol.primal_value == pytest.approx(0.5, abs=1e-12)
     assert sol.gap == 0.0
     assert np.allclose(sum(sol.primal), np.eye(3))
@@ -117,8 +121,8 @@ def test_sdp_certificates_random_grams():
     for n in (4, 12, 25):
         g = random_psd(rng, n)
         g /= np.trace(g)
-        root = psd_sqrt(g)
-        sol = solve_discrimination_sdp(root)
+        root = psd_sqrt(g)   # columns are the states
+        sol = solve_discrimination_sdp(g)
         assert sol.status == "converged"
         assert sol.gap <= 1e-8
         assert sol.gap >= -1e-9
@@ -132,20 +136,19 @@ def test_sdp_certificates_random_grams():
 
 
 def test_sdp_value_invariant_under_signed_permutation_conjugation():
-    # the discrimination value is a function of the hypothesis Gram (sqrtG)^2,
+    # the discrimination value is a function of the hypothesis Gram G,
     # so the conjugations that preserve the problem are the signed permutations
     # (relabeling hypotheses and flipping state signs); a generic orthogonal
     # conjugation changes the pairwise overlaps and with them the optimum
     rng = np.random.default_rng(17)
     g = random_psd(rng, 8)
     g /= np.trace(g)
-    root = psd_sqrt(g)
-    base = solve_discrimination_sdp(root).primal_value
+    base = solve_discrimination_sdp(g).primal_value
     perm = rng.permutation(8)
     signs = rng.choice([-1.0, 1.0], size=8)
     q = np.zeros((8, 8))
     q[np.arange(8), perm] = signs
-    rotated = solve_discrimination_sdp(q @ root @ q.T).primal_value
+    rotated = solve_discrimination_sdp(q @ g @ q.T).primal_value
     assert rotated == pytest.approx(base, abs=2e-8)
 
 
@@ -154,8 +157,7 @@ def test_sdp_dominates_srm_value():
     for n in (5, 15):
         g = random_psd(rng, n)
         g /= np.trace(g)
-        root = psd_sqrt(g)
-        srm = float(np.sum(np.diag(root) ** 2))
-        sol = solve_discrimination_sdp(root)
+        srm = float(np.sum(np.diag(psd_sqrt(g)) ** 2))
+        sol = solve_discrimination_sdp(g)
         assert sol.dual_value >= srm - 1e-12
         assert sol.primal_value >= srm - 1e-8
