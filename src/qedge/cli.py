@@ -7,10 +7,13 @@ Exit codes: 0 success, 1 usage error, 2 partial failure (some rows errored),
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import io
 import json
 import logging
 import math
+import os
 import sys
 from typing import Optional
 
@@ -30,6 +33,11 @@ from .gram import build_gram_known, build_gram_unknown, dump_gram_csv, rescale_g
 __all__ = ["main", "parse_n_spec"]
 
 _CSV_HEADER = "N,d,scenario,method,p_success,gap,status"
+
+# Thread-count symbols of the OpenBLAS builds bundled in the numpy and scipy
+# wheels (numpy's is the 64-bit-integer build), "%s" being "set" or "get".
+_OPENBLAS_THREADS = (("numpy", "scipy_openblas_%s_num_threads64_"),
+                     ("scipy", "scipy_openblas_%s_num_threads"))
 
 
 class _UsageError(Exception):
@@ -224,7 +232,38 @@ def _cmd_verify(args) -> int:
     return 3 if any_failed else 0
 
 
+def _openblas_thread_controls():
+    """(set, get) thread-count functions of each bundled OpenBLAS that is found."""
+    for package, symbol in _OPENBLAS_THREADS:
+        module = sys.modules.get(package)
+        if module is None or module.__file__ is None:
+            continue
+        site = os.path.dirname(os.path.dirname(module.__file__))
+        for path in glob.glob(os.path.join(site, f"{package}.libs", "libscipy_openblas*")):
+            try:
+                lib = ctypes.CDLL(path)
+                set_threads, get_threads = getattr(lib, symbol % "set"), getattr(lib, symbol % "get")
+            except (OSError, AttributeError):
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            yield set_threads, get_threads
+
+
+def _pin_blas_threads() -> None:
+    """Run numpy's and scipy's OpenBLAS on one thread, unless OPENBLAS_NUM_THREADS is set.
+
+    The blocks are small: more BLAS threads only add synchronisation, which
+    makes an SDP sweep about twice as slow on two cores.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    for set_threads, _ in _openblas_thread_controls():
+        set_threads(1)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    _pin_blas_threads()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .combinatorics import CapacityError, StringParams
@@ -37,7 +36,7 @@ SRM_MAX_PARTICLES = 1000
 
 _SCENARIOS = ("unknown", "known")
 _METHODS = ("srm", "sdp")
-_STATUS_RANK = ("converged", "maxIterations", "numericalFailure")   # best to worst
+_STATUS_RANK = ("converged", "gapExceeded", "maxIterations", "numericalFailure")   # best to worst
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,9 @@ def optimal_block(g: SemiseparableGram, gap_tol: float = 1e-8) -> tuple[float, S
     """Optimal joint success of one block together with its SDP certificate.
 
     Rank-one blocks (identical states) get the SDP solver's exact solution:
-    the largest prior, with gap 0 and no Newton step.  A barrier solve's value
-    is floored at the SRM value (itself a feasible POVM), so it never drops
-    below the SRM by solver tolerance.
+    the largest prior, with gap 0 and no Newton step.  The other blocks hold
+    linearly independent states, solved by Newton on a reweighted SRM that
+    starts at the SRM itself.
     """
     try:
         sol = solve_discrimination_sdp(g.dense, gap_tol=gap_tol)
@@ -112,19 +111,6 @@ def optimal_block(g: SemiseparableGram, gap_tol: float = 1e-8) -> tuple[float, S
         raise RuntimeError(f"SDP failed on block {g.block}: {exc}") from exc
     if sol.status == "numericalFailure":
         raise RuntimeError(f"SDP numerical failure on block {g.block}")
-    # only a barrier solve can fall short of the SRM; an exact rank-one solve
-    # may differ from it in the last ulp
-    if sol.iterations > 0 and (srm_val := srm_block(g)) > sol.primal_value:
-        # SRM POVM ([E_k]_ii' = delta_ki delta_ki') is feasible and better here
-        n = g.order
-        primal = []
-        for k in range(n):
-            e = np.zeros((n, n))
-            e[k, k] = 1.0
-            primal.append(e)
-        sol = SdpSolution(primal=primal, dual=sol.dual, primal_value=srm_val,
-                          dual_value=sol.dual_value, gap=sol.dual_value - srm_val,
-                          iterations=sol.iterations, status=sol.status)
     return sol.primal_value, sol
 
 
@@ -161,7 +147,9 @@ class CurvePoint:
     """One row of a success-probability sweep.
 
     ``gap`` is the worst per-block duality gap (0 for SRM rows) and
-    ``iterations`` the largest per-block Newton count, for diagnostics.
+    ``iterations`` the largest per-block count of Newton steps (reweighting
+    steps for linearly independent states, barrier steps otherwise), for
+    diagnostics.
     ``status`` is "ok" only when every block's certificate converged within
     ``gap_tol``; otherwise it is the worst block status (e.g.
     "maxIterations"), "gapExceeded", or "error:<exception>".

@@ -7,7 +7,16 @@ The discrimination problem on one Gram block reads
 
 whose dual is  min tr(Y) s.t. Y >= rho_k := g_k g_k^T  for every column g_k
 of sqrtG.  The solver takes G itself, whose kept eigenpairs give those columns
-in its numerical range, and follows the central path of the dual log-det
+in its numerical range.
+
+Linearly independent states (G of full rank) are measured optimally by the
+square-root measurement of a reweighted ensemble (Mochon, PRA 73, 032328,
+2006), so a damped Newton iteration on the log-weights, one eigendecomposition
+of W G W per step, finds the optimum; the POVM is renormalised and the dual
+Y = sum_k rho_k E_k scaled until it is feasible, which makes the gap a true
+bound.
+
+Linearly dependent states follow the central path of the dual log-det
 barrier.  Each constraint is a rank-one downdate of Y, so Sherman-Morrison
 reduces the barrier Hessian to a Lyapunov operator plus a rank-n correction,
 solved per Newton step by one eigendecomposition plus a Woodbury system of
@@ -35,6 +44,10 @@ _FINAL_T_MARGIN = 1.25   # final barrier parameter 1.25*nu/gap_tol, so gap ~ 0.8
 _BARRIER_GROWTH = 25.0
 _RANK_TOL = 1e-12        # eigenvalues below _RANK_TOL * lambda_max count as zero
 _MAX_ITER = 200          # Newton steps per SDP solve, over all barrier parameters
+_STATIONARITY_TOL = 1e-13   # reweighting stops once max |F - mean F| is below this
+_STEP_TOL = 1e-15           # ... or once a step moves no log-weight by more than this
+_MIN_DAMPING = 2.0 ** -30   # ... or once backtracking finds no decrease above this damping
+_MAX_NEWTON = 100           # guard only: quadratic convergence takes about 10 steps
 
 
 class NotPsdError(ValueError):
@@ -89,7 +102,7 @@ class SdpSolution:
     dual_value: float = 0.0
     gap: float = 0.0
     iterations: int = 0
-    status: str = "converged"   # converged | maxIterations | numericalFailure
+    status: str = "converged"   # converged | gapExceeded | maxIterations | numericalFailure
 
 
 def solve_discrimination_sdp(gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolution:
@@ -97,11 +110,15 @@ def solve_discrimination_sdp(gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolu
 
     Returns primal POVM matrices E_k (sum = identity), the dual certificate Y
     with Y >= rho_k, and the duality gap.  One eigendecomposition of the Gram
-    gives its kept eigenpairs (w, V_r), deflated as in `psd_sqrt`; the states
-    are the columns b_k of (V_r sqrt(w))^T, so b^T b = G.  The identity
-    remainder on the null space is assigned to the hypothesis of largest prior
-    (lowest index on ties).  A block of rank at most one (identical states) is
-    solved exactly by always guessing that hypothesis: gap 0 and no Newton step.
+    gives its kept eigenpairs (w, V_r), deflated as in `psd_sqrt`.  A block of
+    rank at most one (identical states) is solved exactly by always guessing
+    the hypothesis of largest prior (lowest index on ties): gap 0 and no Newton
+    step.  Linearly independent states (full rank) are solved by Newton on the
+    weights of a reweighted square-root measurement (`_reweighted_srm`);
+    dependent states by the barrier method (`_barrier_solve`) on the states
+    b_k, the columns of (V_r sqrt(w))^T, with the identity remainder on the
+    null space assigned to the hypothesis of largest prior.  ``iterations``
+    counts Newton steps of either method.
     Raises NotPsdError on an indefinite Gram and ValueError unless 0 < gap_tol < inf.
     """
     _check_gap_tol(gap_tol)
@@ -113,12 +130,14 @@ def solve_discrimination_sdp(gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolu
 
     if w.size <= 1:
         return _rank_one_solution(b, vr, n, k_star)
+    if w.size == n:
+        g = np.asarray(gram, dtype=float)
+        root = vr @ b                      # sqrt(G), columns the states
+        return _reweighted_srm(0.5 * (g + g.T), 0.5 * (root + root.T), gap_tol)
 
     sol = _barrier_solve(b, gap_tol)
     if sol is None:
-        return SdpSolution(primal=[np.zeros((n, n))] * n, dual=np.zeros((n, n)),
-                           primal_value=float("nan"), dual_value=float("nan"),
-                           gap=float("nan"), status="numericalFailure")
+        return _failed_solution(n)
     y_hat, es_hat, iters, centered = sol
 
     # lift to the original coordinates; null-space remainder goes to k_star
@@ -132,6 +151,109 @@ def solve_discrimination_sdp(gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolu
     status = "converged" if centered and gap <= gap_tol else "maxIterations"
     return SdpSolution(primal=primal, dual=dual, primal_value=primal_value,
                        dual_value=dual_value, gap=gap, iterations=iters, status=status)
+
+
+def _failed_solution(n: int) -> SdpSolution:
+    nan = float("nan")
+    return SdpSolution(primal=[np.zeros((n, n))] * n, dual=np.zeros((n, n)),
+                       primal_value=nan, dual_value=nan, gap=nan, status="numericalFailure")
+
+
+def _weighted_root(g: np.ndarray, x: np.ndarray):
+    """Eigenpairs (lam, U) of M = W G W with W = diag(e^x), the diagonal of
+    S = M^{1/2}, and the stationarity residual F - mean F, F_k = log S_kk - 2 x_k.
+    None when M is not numerically positive definite."""
+    wx = np.exp(x)
+    lam, u = np.linalg.eigh(wx[:, None] * g * wx[None, :])
+    if lam[0] <= 0.0:
+        return None
+    root_diag = (u * u) @ np.sqrt(lam)
+    f = np.log(root_diag) - 2.0 * x
+    return lam, u, root_diag, f - f.mean()
+
+
+def _newton_step(x: np.ndarray, lam: np.ndarray, u: np.ndarray, root_diag: np.ndarray,
+                 resid: np.ndarray) -> np.ndarray:
+    """Newton step on F(x) - c = 0 bordered with the gauge sum(x) = 0.
+
+    dS_kk/dx_j = sum_pq U_kp U_kq U_jp U_jq (lam_p + lam_q) / (sqrt lam_p + sqrt lam_q)
+    (Daleckii-Krein), evaluated as the row sums of (P H) * P with P[kj, p] = U_kp U_jp.
+    """
+    n = x.size
+    rl = np.sqrt(lam)
+    h = (lam[:, None] + lam[None, :]) / (rl[:, None] + rl[None, :])
+    pairs = (u[:, None, :] * u[None, :, :]).reshape(n * n, n)
+    jac = ((pairs @ h) * pairs).sum(axis=1).reshape(n, n) / root_diag[:, None]
+    border = np.zeros((n + 1, n + 1))
+    border[:n, :n] = jac - 2.0 * np.eye(n)
+    border[:n, n] = -1.0
+    border[n, :n] = 1.0
+    rhs = np.append(-resid, -x.sum())
+    return np.linalg.solve(border, rhs)[:n]
+
+
+def _reweighted_srm(g: np.ndarray, s: np.ndarray, gap_tol: float) -> SdpSolution:
+    """Optimal POVM for linearly independent states: the SRM of a reweighted ensemble.
+
+    For states with Gram G and weights w = e^x, the SRM of the ensemble with
+    Gram M = W G W measures the vectors m_k, columns of s W M^{-1/2} (s = sqrt G,
+    columns the states), and succeeds with sum_k (S_kk / w_k)^2, S = M^{1/2}.
+    It is optimal exactly when S_kk / w_k^2 is the same for every k (Mochon,
+    PRA 73, 032328, 2006).  A damped Newton iteration from the SRM (x = 0)
+    drives max |F - mean F| down until it is below _STATIONARITY_TOL, the
+    backtracking finds no decrease, or the step is below _STEP_TOL.
+
+    The certificate is built from the final state: the m_k renormalised by
+    (sum m m^T)^{-1/2}, so that sum E_k = I to rounding; Y = sum rho_k E_k
+    symmetrised and scaled by q = max(1, max_k s_k^T Y^{-1} s_k), which makes
+    Y >= rho_k; and the gap tr Y - P = (q - 1) P >= 0, an upper bound on the
+    distance to the optimum.
+    """
+    n = g.shape[0]
+    x = np.zeros(n)
+    state = _weighted_root(g, x)
+    if state is None:
+        return _failed_solution(n)
+    resid_max = float(np.abs(state[3]).max())
+    steps = 0
+    while resid_max > _STATIONARITY_TOL and steps < _MAX_NEWTON:
+        dx = _newton_step(x, *state)
+        alpha = 1.0
+        while alpha >= _MIN_DAMPING:
+            trial = _weighted_root(g, x + alpha * dx)
+            if trial is not None:
+                trial_max = float(np.abs(trial[3]).max())
+                if trial_max <= (1.0 - 1e-4 * alpha) * resid_max:
+                    break
+            alpha *= 0.5
+        else:
+            break                          # no decrease along the step: stalled
+        x = x + alpha * dx
+        state, resid_max = trial, trial_max
+        steps += 1
+        if alpha * np.abs(dx).max() <= _STEP_TOL:
+            break
+
+    lam, u = state[0], state[1]
+    meas = (s * np.exp(x)) @ (u / np.sqrt(lam)) @ u.T
+    t_lam, t_vec = np.linalg.eigh(meas @ meas.T)
+    meas = (t_vec / np.sqrt(t_lam)) @ t_vec.T @ meas
+    primal = [np.outer(m, m) for m in meas.T]
+    overlap = (s * meas).sum(axis=0)       # s_k . m_k
+    y = (s * overlap) @ meas.T
+    y = 0.5 * (y + y.T)
+    primal_value = float(np.trace(y))
+    try:
+        low = cholesky(y, lower=True)
+    except np.linalg.LinAlgError:
+        return _failed_solution(n)
+    z = solve_triangular(low, s, lower=True)
+    scale = max(1.0, float((z * z).sum(axis=0).max()))
+    dual_value = scale * primal_value
+    gap = dual_value - primal_value
+    status = "converged" if gap <= gap_tol else "gapExceeded"
+    return SdpSolution(primal=primal, dual=scale * y, primal_value=primal_value,
+                       dual_value=dual_value, gap=gap, iterations=steps, status=status)
 
 
 def _rank_one_solution(b: np.ndarray, vr: np.ndarray, n: int, k_star: int) -> SdpSolution:

@@ -1,10 +1,12 @@
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from qedge import DegeneratePadeError, build_gram_unknown, cli, rescale_gram, verify
+from qedge import DegeneratePadeError, build_gram_unknown, cli, discrimination, rescale_gram, verify
 from qedge.cli import main, parse_n_spec
 from qedge.cli import _UsageError
 
@@ -96,14 +98,30 @@ def test_curve_json_format(tmp_path):
     assert [r["N"] for r in doc["rows"]] == [2, 4]
 
 
-def test_curve_row_status_follows_block_certificates():
-    # known N = 40, block n1 = 1 stops at maxIterations; the row must say so
+def test_curve_row_status_follows_block_certificates(monkeypatch, capsys):
+    # known N = 40 holds the block n1 = 1 that the barrier method left at its
+    # iteration cap; every block of it now converges
     proc = run_cli(["curve", "--scenario", "known", "--method", "sdp", "--n", "40",
                     "--format", "json"])
-    assert proc.returncode == 2
+    assert proc.returncode == 0
     (row,) = json.loads(proc.stdout)["rows"]
-    assert row["status"] == "maxIterations"
-    assert row["iterations"] == 200
+    assert row["status"] == "ok"
+
+    # one block certificate that did not converge (unknown N = 4, lam = 1,
+    # order 3) marks its row and the exit code
+    solve = discrimination.solve_discrimination_sdp
+
+    def cap_order_three(gram, gap_tol):
+        sol = solve(gram, gap_tol)
+        if gram.shape[0] == 3:
+            sol = dataclasses.replace(sol, status="maxIterations", iterations=200)
+        return sol
+
+    monkeypatch.setattr(discrimination, "solve_discrimination_sdp", cap_order_three)
+    assert main(["curve", "--method", "sdp", "--n", "2,4", "--format", "json"]) == 2
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["N"], r["status"]) for r in rows] == [(2, "ok"), (4, "maxIterations")]
+    assert rows[1]["iterations"] == 200
 
 
 def test_usage_errors_exit_one(capsys):
@@ -230,3 +248,36 @@ def test_cli_subprocess_entry():
     proc = run_cli(["curve", "--d", "2", "--method", "srm", "--n", "2"])
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "N,d,scenario,method,p_success,gap,status"
+
+
+# Reads the bundled OpenBLAS thread counts before and after one CLI run.
+_THREADS_AROUND_MAIN = """
+import json, sys
+from qedge import cli
+def threads():
+    return [get_threads() for _, get_threads in cli._openblas_thread_controls()]
+before = threads()
+cli.main(["gram-dump", "--n", "2", "--block", "0", "--out", sys.argv[1]])
+print(json.dumps([before, threads()]))
+"""
+
+
+def _threads_around_main(tmp_path, **env):
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_AROUND_MAIN, str(tmp_path / "gram.csv")],
+        capture_output=True, text=True, check=True, env={**base, **env},
+    )
+    return json.loads(proc.stdout)
+
+
+def test_cli_pins_openblas_to_one_thread(tmp_path):
+    before, after = _threads_around_main(tmp_path)
+    if not before:
+        pytest.skip("numpy and scipy carry no bundled OpenBLAS here")
+    assert after == [1] * len(before)
+
+
+def test_cli_keeps_user_openblas_threads(tmp_path):
+    before, after = _threads_around_main(tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert after == before

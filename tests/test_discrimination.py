@@ -99,6 +99,31 @@ def test_sdp_at_least_srm_per_block():
             assert val >= srm_block(g) - 1e-9
 
 
+def test_optimal_at_least_srm_on_known_blocks():
+    # no SRM floor guards optimal_block; the SRM is feasible, so the optimum is above it
+    for n in range(2, 41):
+        for label, g in scenario_blocks("known", StringParams(n, 2)):
+            val, _ = optimal_block(g)
+            assert val >= srm_block(g) - 1e-12, (n, label)
+
+
+def test_known_block_left_at_barrier_cap_converges():
+    # known N = 40, n1 = 1: the barrier method stopped at its 200-step cap here
+    # with value 0.033737770748603756 and a gap of 8.0e-9
+    val, sol = optimal_block(build_gram_known(40, 2, 39))
+    assert sol.status == "converged"
+    assert 0.0 <= sol.gap <= 1e-8
+    assert val >= 0.033737770748603756
+
+
+def test_known_qutrit_block_closes_its_certificate():
+    # known d = 3, N = 56, ntilde0 = 55: the barrier method stopped with gap 6.0e-6
+    val, sol = optimal_block(build_gram_known(56, 3, 55))
+    assert sol.status == "converged"
+    assert 0.0 <= sol.gap <= 1e-8
+    assert sol.dual_value >= val
+
+
 def test_known_blocks_labeled_by_n1_for_qubits():
     pairs = scenario_blocks("known", StringParams(4, 2))
     assert sorted(label for label, _ in pairs) == list(range(5))

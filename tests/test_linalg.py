@@ -5,11 +5,13 @@ import pytest
 
 from qedge import (
     NotPsdError,
+    build_gram_known,
     build_gram_unknown,
     eig_sym,
     psd_sqrt,
     solve_discrimination_sdp,
 )
+from qedge import linalg
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -161,3 +163,58 @@ def test_sdp_dominates_srm_value():
         sol = solve_discrimination_sdp(g)
         assert sol.dual_value >= srm - 1e-12
         assert sol.primal_value >= srm - 1e-8
+
+
+def _barrier_value(g, gap_tol):
+    w, vr = linalg._kept_spectrum(g)
+    b = (vr * np.sqrt(w)).T
+    _, es, _, centered = linalg._barrier_solve(b, gap_tol)
+    assert centered
+    return float(sum(b[:, k] @ es[k] @ b[:, k] for k in range(b.shape[1])))
+
+
+@pytest.mark.parametrize("gram", [
+    build_gram_unknown(8, 2, 1), build_gram_unknown(10, 2, 3),
+    build_gram_known(8, 2, 7), build_gram_known(12, 2, 10), build_gram_known(6, 3, 4),
+], ids=lambda g: str(g.block))
+def test_reweighted_srm_matches_barrier(gram):
+    gap_tol = 1e-8
+    sol = solve_discrimination_sdp(gram.dense, gap_tol)
+    barrier = _barrier_value(gram.dense, gap_tol)
+    assert sol.status == "converged" and sol.iterations > 0
+    assert barrier - 1e-12 <= sol.primal_value <= barrier + gap_tol
+
+
+def _count_barrier_solves(monkeypatch):
+    calls = []
+    solve = linalg._barrier_solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(linalg, "_barrier_solve", counted)
+    return calls
+
+
+def test_independent_states_skip_the_barrier(monkeypatch):
+    calls = _count_barrier_solves(monkeypatch)
+    g = random_psd(np.random.default_rng(29), 6)
+    assert solve_discrimination_sdp(g / np.trace(g)).status == "converged"
+    assert calls == []
+
+
+def test_dependent_states_use_the_barrier(monkeypatch):
+    calls = _count_barrier_solves(monkeypatch)
+    g = random_psd(np.random.default_rng(31), 6, rank=3)
+    g /= np.trace(g)
+    root = psd_sqrt(g)
+    sol = solve_discrimination_sdp(g)
+    assert len(calls) == 1
+    assert sol.status == "converged"
+    assert 0 <= sol.gap <= 1e-8
+    assert np.abs(sum(sol.primal) - np.eye(6)).max() <= 1e-8
+    for k in range(6):
+        rho = np.outer(root[:, k], root[:, k])
+        assert np.linalg.eigvalsh(sol.dual - rho).min() >= -1e-8
+        assert np.linalg.eigvalsh(sol.primal[k]).min() >= -1e-9
