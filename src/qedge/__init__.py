@@ -33,7 +33,7 @@ from .gram import (
     rescale_gram,
     tridiag_inverse_reference,
 )
-from .linalg import NotPsdError, SdpSolution, eig_sym, psd_sqrt, solve_discrimination_sdp
+from .linalg import NotPsdError, SdpSolution, psd_sqrt, solve_discrimination_sdp
 from .discrimination import (
     CurvePoint,
     DiscriminationResult,

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import dawsn, ellipk, ellipkm1
 
 from .gram import build_gram_unknown
 from .discrimination import srm_block
@@ -33,7 +34,6 @@ __all__ = [
     "NotTabulatedError",
     "PadeApproximant",
     "RationalCoefficientTable",
-    "TABULATED_DIMENSIONS",
     "coefficient_table",
     "dawson",
     "elliptic_k",
@@ -44,8 +44,6 @@ __all__ = [
     "p0_via_primitive",
     "pade",
 ]
-
-TABULATED_DIMENSIONS = (2, 3, 4, 8)
 
 _DATA_FILE = "maclaurin_coefficients.txt"
 _DATA_ENV = "QEDGE_DATA_DIR"
@@ -290,20 +288,15 @@ def p0_via_primitive(d: int) -> LimitEstimate:
 
 
 def elliptic_k(m: float) -> float:
-    """Complete elliptic integral K(m), parameter convention, by AGM iteration."""
+    """Complete elliptic integral K(m), parameter convention."""
     if not 0.0 <= m < 1.0:
         raise ValueError(f"parameter must satisfy 0 <= m < 1, got {m}")
-    return _elliptic_k_from_complement(1.0 - m)
+    return float(ellipk(m))
 
 
 def _elliptic_k_from_complement(mc: float) -> float:
     """K(1 - mc) from the complementary parameter, stable for tiny mc > 0."""
-    a, b = 1.0, math.sqrt(mc)
-    for _ in range(60):   # quadratic convergence; the cap guards ulp oscillation
-        if abs(a - b) <= 1e-15 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b)
+    return float(ellipkm1(mc))
 
 
 def p0_known(d: int) -> float:
@@ -326,37 +319,11 @@ def p0_known(d: int) -> float:
     return val
 
 
-_DAWSON_H = 0.25
-
-
 def dawson(y: float) -> float:
-    """Dawson's integral F(y) = exp(-y^2) int_0^y exp(t^2) dt for y >= 0.
-
-    Maclaurin series below y = 1; exponentially accurate odd-point sampling
-    (error ~ exp(-(pi/2h)^2), far below 1e-12 at h = 0.25) above.
-    """
+    """Dawson's integral F(y) = exp(-y^2) int_0^y exp(t^2) dt for y >= 0."""
     if y < 0:
         raise ValueError(f"y must be >= 0, got {y}")
-    if y == 0.0:
-        return 0.0
-    if y <= 1.0:
-        term = y
-        total = y
-        k = 0
-        while abs(term) > 1e-18 * abs(total):
-            k += 1
-            term *= -2.0 * y * y / (2 * k + 1)
-            total += term
-        return total
-    h = _DAWSON_H
-    n0 = 2 * round(0.5 * y / h)
-    total = 0.0
-    for i in range(-40, 41):
-        n = n0 + 2 * i + 1
-        t = y - n * h
-        if abs(t) < 36.0:
-            total += math.exp(-t * t) / n
-    return total / math.sqrt(math.pi)
+    return float(dawsn(y))
 
 
 def large_d_limit(d: int) -> float:

@@ -81,10 +81,7 @@ def hypothesis_range(N: int, lam: int) -> range:
 
 def priors(N: int, d: int, lam: int) -> list[tuple[int, Fraction]]:
     """Exact joint priors eta^lam_k = s_lam / (N d^sym_{N-k} d^sym_k) over K_lam."""
-    s_lam = Fraction(
-        (N - 2 * lam + 1) * math.comb(d + lam - 2, d - 2) * math.comb(d + N - lam - 1, d - 1),
-        N - lam + 1,
-    )
+    s_lam = Fraction(irrep_dim(N, d, lam))
     return [
         (k, s_lam / (N * sym_dim(N - k, d) * sym_dim(k, d)))
         for k in hypothesis_range(N, lam)

@@ -36,7 +36,7 @@ SRM_MAX_PARTICLES = 1000
 
 _SCENARIOS = ("unknown", "known")
 _METHODS = ("srm", "sdp")
-_STATUS_RANK = ("converged", "gapExceeded", "maxIterations", "numericalFailure")   # best to worst
+_STATUS_RANK = ("converged", "gapExceeded", "maxIterations")   # best to worst
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,13 @@ def optimal_block(g: SemiseparableGram, gap_tol: float = 1e-8) -> tuple[float, S
     Rank-one blocks (identical states) get the SDP solver's exact solution:
     the largest prior, with gap 0 and no Newton step.  The other blocks hold
     linearly independent states, solved by Newton on a reweighted SRM that
-    starts at the SRM itself.
+    starts at the SRM itself.  A solve that fails raises RuntimeError naming
+    the block.
     """
     try:
         sol = solve_discrimination_sdp(g.dense, gap_tol=gap_tol)
     except Exception as exc:  # attach the block label
         raise RuntimeError(f"SDP failed on block {g.block}: {exc}") from exc
-    if sol.status == "numericalFailure":
-        raise RuntimeError(f"SDP numerical failure on block {g.block}")
     return sol.primal_value, sol
 
 
@@ -150,9 +149,10 @@ class CurvePoint:
     ``iterations`` the largest per-block count of Newton steps (reweighting
     steps for linearly independent states, barrier steps otherwise), for
     diagnostics.
-    ``status`` is "ok" only when every block's certificate converged within
-    ``gap_tol``; otherwise it is the worst block status (e.g.
-    "maxIterations"), "gapExceeded", or "error:<exception>".
+    ``status`` is "ok" only when every block's certificate converged, that is
+    closed its gap within ``gap_tol``; otherwise it is the worst block status
+    ("gapExceeded" or "maxIterations"), or "error:<exception>" when a block
+    solve raised.
     """
 
     N: int
@@ -196,8 +196,6 @@ def success_curve(
             worst = max((sol.status for sol in sols), key=_STATUS_RANK.index)
             if worst != "converged":
                 status = worst
-            elif gap > gap_tol:
-                status = "gapExceeded"
         return CurvePoint(n, d, scenario, method, res.total, gap, status, iterations)
 
     return [one(n) for n in n_values]

@@ -9,12 +9,14 @@ whose dual is  min tr(Y) s.t. Y >= rho_k := g_k g_k^T  for every column g_k
 of sqrtG.  The solver takes G itself, whose kept eigenpairs give those columns
 in its numerical range.
 
+One eigendecomposition of G, deflated once, serves every branch.
 Linearly independent states (G of full rank) are measured optimally by the
 square-root measurement of a reweighted ensemble (Mochon, PRA 73, 032328,
-2006), so a damped Newton iteration on the log-weights, one eigendecomposition
-of W G W per step, finds the optimum; the POVM is renormalised and the dual
-Y = sum_k rho_k E_k scaled until it is feasible, which makes the gap a true
-bound.
+2006), so a damped Newton iteration on the log-weights finds the optimum.  It
+starts at the SRM (weights 1, where W G W = G), whose eigenpairs are those of
+G, and takes one eigendecomposition of W G W per further step; the POVM is
+renormalised and the dual Y = sum_k rho_k E_k scaled until it is feasible,
+which makes the gap a true bound.
 
 Linearly dependent states follow the central path of the dual log-det
 barrier.  Each constraint is a rank-one downdate of Y, so Sherman-Morrison
@@ -23,6 +25,9 @@ solved per Newton step by one eigendecomposition plus a Woodbury system of
 order n.
 Primal matrices are recovered from the barrier optimality condition
 E_k = S_k^{-1}/t and renormalized so that sum_k E_k = I exactly.
+
+A solve that breaks down numerically raises `numpy.linalg.LinAlgError`
+instead of returning a solution.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from scipy.linalg import cholesky, solve_triangular
 __all__ = [
     "NotPsdError",
     "SdpSolution",
-    "eig_sym",
     "psd_sqrt",
     "solve_discrimination_sdp",
 ]
@@ -54,8 +58,12 @@ class NotPsdError(ValueError):
     """Matrix expected to be positive semidefinite is not."""
 
 
-def eig_sym(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
+def _kept_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetrised m and its eigenpairs with eigenvalue above _RANK_TOL * lambda_max.
+
+    Raises ValueError unless m is a finite, square, symmetric matrix, and
+    NotPsdError when its lowest eigenvalue is below -_RANK_TOL * lambda_max.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -63,25 +71,23 @@ def eig_sym(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix entries must be finite")
     if m.size and np.abs(m - m.T).max() > 1e-12 * max(np.abs(m).max(), 1.0):
         raise ValueError("matrix is not symmetric")
-    return np.linalg.eigh(0.5 * (m + m.T))
-
-
-def _kept_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a PSD matrix with eigenvalue above _RANK_TOL * lambda_max.
-
-    Raises NotPsdError when the lowest eigenvalue is below -_RANK_TOL * lambda_max.
-    """
-    w, v = eig_sym(m)
+    sym = 0.5 * (m + m.T)
+    w, v = np.linalg.eigh(sym)
     wmax = max(w[-1], 0.0) if w.size else 0.0
     if w.size and w[0] < -_RANK_TOL * max(wmax, 1e-300):
         raise NotPsdError(f"matrix has eigenvalue {w[0]:.3e} < -{_RANK_TOL:g} * lambda_max")
     keep = w > _RANK_TOL * wmax
-    return w[keep], v[:, keep]
+    return sym, w[keep], v[:, keep]
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root, deflating eigenvalues below _RANK_TOL * lambda_max."""
-    w, v = _kept_spectrum(m)
+    _, w, v = _kept_spectrum(m)
+    return _root(w, v)
+
+
+def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V diag(sqrt w) V^T, symmetrised."""
     root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)
 
@@ -100,9 +106,13 @@ class SdpSolution:
     dual: np.ndarray = field(repr=False)
     primal_value: float = 0.0
     dual_value: float = 0.0
-    gap: float = 0.0
     iterations: int = 0
-    status: str = "converged"   # converged | gapExceeded | maxIterations | numericalFailure
+    status: str = "converged"   # converged (gap <= gap_tol) | gapExceeded | maxIterations
+
+    @property
+    def gap(self) -> float:
+        """Duality gap tr Y - P, an upper bound on the distance to the optimum."""
+        return self.dual_value - self.primal_value
 
 
 def solve_discrimination_sdp(gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolution:
@@ -110,61 +120,57 @@ def solve_discrimination_sdp(gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolu
 
     Returns primal POVM matrices E_k (sum = identity), the dual certificate Y
     with Y >= rho_k, and the duality gap.  One eigendecomposition of the Gram
-    gives its kept eigenpairs (w, V_r), deflated as in `psd_sqrt`.  A block of
-    rank at most one (identical states) is solved exactly by always guessing
-    the hypothesis of largest prior (lowest index on ties): gap 0 and no Newton
-    step.  Linearly independent states (full rank) are solved by Newton on the
+    gives its kept eigenpairs (w, V_r), deflated as in `psd_sqrt`; every
+    branch starts from them.  A block of rank at most one (identical states)
+    is solved exactly by always guessing the hypothesis of largest prior
+    (lowest index on ties): gap 0 and no Newton step.  Linearly independent states (full rank) are solved by Newton on the
     weights of a reweighted square-root measurement (`_reweighted_srm`);
     dependent states by the barrier method (`_barrier_solve`) on the states
     b_k, the columns of (V_r sqrt(w))^T, with the identity remainder on the
     null space assigned to the hypothesis of largest prior.  ``iterations``
     counts Newton steps of either method.
-    Raises NotPsdError on an indefinite Gram and ValueError unless 0 < gap_tol < inf.
+    Raises NotPsdError on an indefinite Gram, ValueError unless 0 < gap_tol < inf,
+    and numpy.linalg.LinAlgError when the solve breaks down numerically.
     """
     _check_gap_tol(gap_tol)
-    w, vr = _kept_spectrum(gram)
+    g, w, vr = _kept_spectrum(gram)
     n = vr.shape[0]
     b = (vr * np.sqrt(w)).T                # r x n, columns b_k
-    diag_g = (b * b).sum(axis=0)           # priors eta_k
-    k_star = int(np.argmax(np.round(diag_g / max(diag_g.max(), 1e-300), 12)))
 
     if w.size <= 1:
-        return _rank_one_solution(b, vr, n, k_star)
+        return _rank_one_solution(b, vr)
     if w.size == n:
-        g = np.asarray(gram, dtype=float)
-        root = vr @ b                      # sqrt(G), columns the states
-        return _reweighted_srm(0.5 * (g + g.T), 0.5 * (root + root.T), gap_tol)
+        return _reweighted_srm(g, w, vr, gap_tol)
 
-    sol = _barrier_solve(b, gap_tol)
-    if sol is None:
-        return _failed_solution(n)
-    y_hat, es_hat, iters, centered = sol
-
+    y_hat, es_hat, iters, centered = _barrier_solve(b, gap_tol)
     # lift to the original coordinates; null-space remainder goes to k_star
     null_proj = np.eye(n) - vr @ vr.T
     primal = [vr @ e @ vr.T for e in es_hat]
+    k_star = _largest_prior((b * b).sum(axis=0))
     primal[k_star] = primal[k_star] + null_proj
     dual = vr @ y_hat @ vr.T
     primal_value = float(sum(b[:, k] @ es_hat[k] @ b[:, k] for k in range(n)))
     dual_value = float(np.trace(y_hat))
-    gap = dual_value - primal_value
-    status = "converged" if centered and gap <= gap_tol else "maxIterations"
+    status = "converged" if centered and dual_value - primal_value <= gap_tol else "maxIterations"
     return SdpSolution(primal=primal, dual=dual, primal_value=primal_value,
-                       dual_value=dual_value, gap=gap, iterations=iters, status=status)
+                       dual_value=dual_value, iterations=iters, status=status)
 
 
-def _failed_solution(n: int) -> SdpSolution:
-    nan = float("nan")
-    return SdpSolution(primal=[np.zeros((n, n))] * n, dual=np.zeros((n, n)),
-                       primal_value=nan, dual_value=nan, gap=nan, status="numericalFailure")
+def _largest_prior(priors: np.ndarray) -> int:
+    """Index of the largest prior, the lowest index among priors equal to 12 digits."""
+    return int(np.argmax(np.round(priors / max(priors.max(), 1e-300), 12)))
 
 
 def _weighted_root(g: np.ndarray, x: np.ndarray):
-    """Eigenpairs (lam, U) of M = W G W with W = diag(e^x), the diagonal of
-    S = M^{1/2}, and the stationarity residual F - mean F, F_k = log S_kk - 2 x_k.
-    None when M is not numerically positive definite."""
+    """`_root_state` of M = W G W with W = diag(e^x)."""
     wx = np.exp(x)
-    lam, u = np.linalg.eigh(wx[:, None] * g * wx[None, :])
+    return _root_state(x, *np.linalg.eigh(wx[:, None] * g * wx[None, :]))
+
+
+def _root_state(x: np.ndarray, lam: np.ndarray, u: np.ndarray):
+    """Eigenpairs (lam, U) of M, the diagonal of S = M^{1/2}, and the stationarity
+    residual F - mean F, F_k = log S_kk - 2 x_k.  None when M is not numerically
+    positive definite."""
     if lam[0] <= 0.0:
         return None
     root_diag = (u * u) @ np.sqrt(lam)
@@ -192,16 +198,17 @@ def _newton_step(x: np.ndarray, lam: np.ndarray, u: np.ndarray, root_diag: np.nd
     return np.linalg.solve(border, rhs)[:n]
 
 
-def _reweighted_srm(g: np.ndarray, s: np.ndarray, gap_tol: float) -> SdpSolution:
+def _reweighted_srm(g: np.ndarray, w: np.ndarray, v: np.ndarray, gap_tol: float) -> SdpSolution:
     """Optimal POVM for linearly independent states: the SRM of a reweighted ensemble.
 
     For states with Gram G and weights w = e^x, the SRM of the ensemble with
     Gram M = W G W measures the vectors m_k, columns of s W M^{-1/2} (s = sqrt G,
     columns the states), and succeeds with sum_k (S_kk / w_k)^2, S = M^{1/2}.
     It is optimal exactly when S_kk / w_k^2 is the same for every k (Mochon,
-    PRA 73, 032328, 2006).  A damped Newton iteration from the SRM (x = 0)
-    drives max |F - mean F| down until it is below _STATIONARITY_TOL, the
-    backtracking finds no decrease, or the step is below _STEP_TOL.
+    PRA 73, 032328, 2006).  A damped Newton iteration from the SRM (x = 0,
+    where M = G and (w, v) are its eigenpairs) drives max |F - mean F| down
+    until it is below _STATIONARITY_TOL, the backtracking finds no decrease,
+    or the step is below _STEP_TOL.
 
     The certificate is built from the final state: the m_k renormalised by
     (sum m m^T)^{-1/2}, so that sum E_k = I to rounding; Y = sum rho_k E_k
@@ -209,11 +216,9 @@ def _reweighted_srm(g: np.ndarray, s: np.ndarray, gap_tol: float) -> SdpSolution
     Y >= rho_k; and the gap tr Y - P = (q - 1) P >= 0, an upper bound on the
     distance to the optimum.
     """
-    n = g.shape[0]
-    x = np.zeros(n)
-    state = _weighted_root(g, x)
-    if state is None:
-        return _failed_solution(n)
+    s = _root(w, v)
+    x = np.zeros(g.shape[0])
+    state = _root_state(x, w, v)
     resid_max = float(np.abs(state[3]).max())
     steps = 0
     while resid_max > _STATIONARITY_TOL and steps < _MAX_NEWTON:
@@ -243,28 +248,25 @@ def _reweighted_srm(g: np.ndarray, s: np.ndarray, gap_tol: float) -> SdpSolution
     y = (s * overlap) @ meas.T
     y = 0.5 * (y + y.T)
     primal_value = float(np.trace(y))
-    try:
-        low = cholesky(y, lower=True)
-    except np.linalg.LinAlgError:
-        return _failed_solution(n)
-    z = solve_triangular(low, s, lower=True)
+    z = solve_triangular(cholesky(y, lower=True), s, lower=True)
     scale = max(1.0, float((z * z).sum(axis=0).max()))
     dual_value = scale * primal_value
-    gap = dual_value - primal_value
-    status = "converged" if gap <= gap_tol else "gapExceeded"
+    status = "converged" if dual_value - primal_value <= gap_tol else "gapExceeded"
     return SdpSolution(primal=primal, dual=scale * y, primal_value=primal_value,
-                       dual_value=dual_value, gap=gap, iterations=steps, status=status)
+                       dual_value=dual_value, iterations=steps, status=status)
 
 
-def _rank_one_solution(b: np.ndarray, vr: np.ndarray, n: int, k_star: int) -> SdpSolution:
+def _rank_one_solution(b: np.ndarray, vr: np.ndarray) -> SdpSolution:
     """Identical-states block: optimum is the largest prior, achieved by always guessing k*."""
+    n = vr.shape[0]
     diag_g = (b * b).sum(axis=0)
+    k_star = _largest_prior(diag_g)
     val = float(diag_g[k_star])
     primal = [np.zeros((n, n)) for _ in range(n)]
     primal[k_star] = np.eye(n)
     dual = val * vr @ vr.T
     return SdpSolution(primal=primal, dual=dual, primal_value=val, dual_value=val,
-                       gap=0.0, iterations=0, status="converged")
+                       iterations=0, status="converged")
 
 
 def _barrier_phi(y: np.ndarray, b: np.ndarray, t: float, n: int):
@@ -282,7 +284,10 @@ def _barrier_phi(y: np.ndarray, b: np.ndarray, t: float, n: int):
 
 
 def _barrier_solve(b: np.ndarray, gap_tol: float):
-    """Path-following on min tr(Y) s.t. Y >= b_k b_k^T. Returns (Y, [E_k], iters, centered)."""
+    """Path-following on min tr(Y) s.t. Y >= b_k b_k^T. Returns (Y, [E_k], iters, centered).
+
+    Raises numpy.linalg.LinAlgError when an iterate leaves the feasible set or
+    the line search finds no decrease."""
     r, n = b.shape
     nu = n * r
     tr_rho_max = float((b * b).sum(axis=0).max())
@@ -299,7 +304,7 @@ def _barrier_solve(b: np.ndarray, gap_tol: float):
         while iters < _MAX_ITER:
             state = _barrier_phi(y, b, t, n)
             if state is None:
-                return None
+                raise np.linalg.LinAlgError("barrier iterate left the feasible set")
             val, low, gh, q = state
             c = 1.0 / (1.0 - q)
             # hat-space gradient of the barrier: L^T grad L
@@ -335,7 +340,7 @@ def _barrier_solve(b: np.ndarray, gap_tol: float):
                     break
                 step *= 0.5
             else:
-                return None
+                raise np.linalg.LinAlgError("barrier line search found no decrease")
             y = y + step * dy
             iters += 1
             if dec2 <= target_tol:
@@ -360,7 +365,7 @@ def _barrier_solve(b: np.ndarray, gap_tol: float):
     # primal recovery at the final parameter
     state = _barrier_phi(y, b, t, n)
     if state is None:
-        return None
+        raise np.linalg.LinAlgError("barrier iterate left the feasible set")
     _, low, gh, q = state
     c = 1.0 / (1.0 - q)
     linv = solve_triangular(low, np.eye(r), lower=True)
@@ -370,7 +375,7 @@ def _barrier_solve(b: np.ndarray, gap_tol: float):
     total = np.sum(es, axis=0)
     w, vecs = np.linalg.eigh(0.5 * (total + total.T))
     if w[0] <= 0:
-        return None
+        raise np.linalg.LinAlgError("recovered POVM sum is not positive definite")
     corr = (vecs / np.sqrt(w)) @ vecs.T
     es = [corr @ e @ corr for e in es]
     return y, es, iters, centered and t >= t_final

@@ -200,3 +200,19 @@ def test_total_success_rejects_gap_tol_before_any_block(monkeypatch):
     monkeypatch.setattr(discrimination, "scenario_blocks", no_blocks)
     with pytest.raises(ValueError, match="gap_tol"):
         total_success(ScenarioSpec("unknown", StringParams(4, 2), "sdp"), gap_tol=math.inf)
+
+
+def test_failed_block_solve_raises_and_marks_its_row(monkeypatch):
+    from qedge import linalg
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(linalg, "cholesky", broken)
+    g = build_gram_unknown(4, 2, 1)
+    assert not g.rank_one
+    with pytest.raises(RuntimeError, match=r"SDP failed on block .*lam=1.*forced"):
+        optimal_block(g)
+    (row,) = success_curve("unknown", 2, [4], "sdp")
+    assert row.status == "error:RuntimeError"
+    assert math.isnan(row.p_success)

@@ -7,16 +7,10 @@ from qedge import (
     NotPsdError,
     build_gram_known,
     build_gram_unknown,
-    eig_sym,
     psd_sqrt,
     solve_discrimination_sdp,
 )
 from qedge import linalg
-
-
-def random_symmetric(rng, n, scale=1.0):
-    x = rng.normal(size=(n, n))
-    return scale * 0.5 * (x + x.T)
 
 
 def random_psd(rng, n, rank=None):
@@ -24,30 +18,14 @@ def random_psd(rng, n, rank=None):
     return x @ x.T
 
 
-def test_eig_sym_identity_and_diag():
-    w, v = eig_sym(np.eye(4))
-    assert np.allclose(w, 1.0)
-    w, v = eig_sym(np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(w, [1, 2, 3])
-    assert np.abs(v.T @ v - np.eye(3)).max() < 1e-12
-
-
-def test_eig_sym_reconstruction_residual():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        m = random_symmetric(rng, 50)
-        w, v = eig_sym(m)
-        scale = np.abs(m).max()
-        assert np.abs(m @ v - v * w).max() <= 1e-10 * scale
-        assert np.abs(v.T @ v - np.eye(50)).max() <= 1e-10
-        assert np.all(np.diff(w) >= 0)
-
-
-def test_eig_sym_rejects_asymmetric_and_nonfinite():
-    with pytest.raises(ValueError):
-        eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+@pytest.mark.parametrize("fn", [psd_sqrt, solve_discrimination_sdp])
+def test_rejects_asymmetric_and_nonfinite(fn):
+    with pytest.raises(ValueError, match="not symmetric"):
+        fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        fn(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        fn(np.ones((2, 3)))
 
 
 def test_psd_sqrt_identity():
@@ -166,7 +144,7 @@ def test_sdp_dominates_srm_value():
 
 
 def _barrier_value(g, gap_tol):
-    w, vr = linalg._kept_spectrum(g)
+    _, w, vr = linalg._kept_spectrum(g)
     b = (vr * np.sqrt(w)).T
     _, es, _, centered = linalg._barrier_solve(b, gap_tol)
     assert centered
@@ -218,3 +196,42 @@ def test_dependent_states_use_the_barrier(monkeypatch):
         rho = np.outer(root[:, k], root[:, k])
         assert np.linalg.eigvalsh(sol.dual - rho).min() >= -1e-8
         assert np.linalg.eigvalsh(sol.primal[k]).min() >= -1e-9
+
+
+@pytest.mark.parametrize("rank", [1, 6, 3], ids=["rank-one", "reweighted", "barrier"])
+def test_gap_is_dual_minus_primal(rank):
+    g = random_psd(np.random.default_rng(37), 6, rank=rank)
+    sol = solve_discrimination_sdp(g / np.trace(g))
+    assert sol.status == "converged"
+    assert sol.gap == sol.dual_value - sol.primal_value
+    with pytest.raises(AttributeError):
+        sol.gap = 0.0
+
+
+def test_failed_cholesky_raises(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(linalg, "cholesky", broken)
+    g = random_psd(np.random.default_rng(41), 5)
+    with pytest.raises(np.linalg.LinAlgError, match="forced"):
+        solve_discrimination_sdp(g / np.trace(g))
+
+
+def test_full_rank_gram_is_decomposed_once(monkeypatch):
+    eigh = np.linalg.eigh
+    args = []
+
+    def spied(m, *rest, **kwargs):
+        args.append(np.array(m))
+        return eigh(m, *rest, **kwargs)
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", spied)
+    for gram in (build_gram_unknown(10, 2, 2), build_gram_known(12, 2, 10)):
+        assert not gram.rank_one
+        g = gram.dense
+        sym = 0.5 * (g + g.T)
+        args.clear()
+        sol = solve_discrimination_sdp(g)
+        assert sol.status == "converged" and sol.iterations > 0
+        assert sum(np.array_equal(a, sym) for a in args) == 1
