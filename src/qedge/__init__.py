@@ -41,6 +41,7 @@ from .discrimination import (
     optimal_block,
     scenario_blocks,
     srm_block,
+    srm_blocks,
     success_curve,
     total_success,
 )

@@ -25,7 +25,7 @@ from scipy.integrate import quad
 from scipy.special import dawsn, ellipk, ellipkm1
 
 from .gram import build_gram_unknown
-from .discrimination import srm_block
+from .discrimination import srm_blocks
 
 __all__ = [
     "CoefficientEstimate",
@@ -361,16 +361,12 @@ def estimate_low_order_coeffs(d: int, r_max: int = 3) -> list[CoefficientEstimat
         raise ValueError(f"d must be >= 2, got {d}")
     if not 1 <= r_max <= 3:
         raise ValueError(f"r_max must be in 1..3, got {r_max}")
+    values = iter(srm_blocks([build_gram_unknown(n_val, d, n_val // 2 - round(x * n_val / 2))
+                              for x in _ESTIMATOR_X for n_val in _ESTIMATOR_N]))
     extrapolated = []
     last_correction = []
     for x in _ESTIMATOR_X:
-        ys = []
-        for n_val in _ESTIMATOR_N:
-            j = round(x * n_val / 2)
-            lam = n_val // 2 - j
-            block = build_gram_unknown(n_val, d, lam)
-            ys.append((n_val / 2) * srm_block(block))
-        level = list(ys)
+        level = [(n_val / 2) * next(values) for n_val in _ESTIMATOR_N]
         factor = 2.0
         prev = level[-1]
         while len(level) > 1:

@@ -112,21 +112,26 @@ class SemiseparableGram:
     def trace(self) -> float:
         return float(np.sum(self.priors))
 
-    def inverse_tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal of G^{-1} = B^T B, where B = C^{-1} is upper bidiagonal.
+    def bidiagonal_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """Squared entries (b^2, c^2) of the upper bidiagonal B = C^{-1}, G^{-1} = B^T B.
 
-        B_kk = 1/(v_k sqrt(Delta_k)) and B_k,k+1 = -1/(v_{k+1} sqrt(Delta_k)),
-        taken from the log-generators, so T's diagonal is a sum of squares and
-        its off-diagonal a product: nothing cancels and nothing overflows.
+        B_kk = b_k = 1/(v_k sqrt(Delta_k)) and B_k,k+1 = -c_k = -1/(v_{k+1} sqrt(Delta_k)),
+        exponentiated from the log-generators, so every entry is positive and
+        nothing cancels.  A block with some Delta_k = 0 is singular and raises
+        ValueError.
         """
         if np.any(np.isneginf(self.log_delta)):
             raise ValueError(f"block {self.block} is singular (some Delta_k = 0)")
         log_v = 0.5 * (self.log_eta - self.log_r)
-        b_diag = np.exp(-0.5 * self.log_delta - log_v)
-        b_sup = np.exp(-0.5 * self.log_delta[:-1] - log_v[1:])
-        diag = b_diag ** 2
-        diag[1:] += b_sup ** 2
-        return diag, -b_diag[:-1] * b_sup
+        return np.exp(-self.log_delta - 2 * log_v), np.exp(-self.log_delta[:-1] - 2 * log_v[1:])
+
+    def inverse_tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of G^{-1} = B^T B (`bidiagonal_factor`):
+        b_k^2 + c_{k-1}^2 and -b_k c_k, a sum of squares and a product."""
+        b2, c2 = self.bidiagonal_factor()
+        diag = b2.copy()
+        diag[1:] += c2
+        return diag, -np.sqrt(b2[:-1] * c2)
 
     @cached_property
     def dense(self) -> np.ndarray:

@@ -1,11 +1,26 @@
 """Structured SRM: the tridiagonal inverse and the square-root measurement built on it,
-checked against dense linear algebra and a 40-digit dense reference."""
+checked against dense linear algebra, a tridiagonal eigensolver and a 40-digit dense reference."""
+
+import inspect
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from qedge import build_gram_known, build_gram_unknown, rescale_gram, srm_block
+from qedge import (
+    ScenarioSpec,
+    SemiseparableGram,
+    StringParams,
+    build_gram_known,
+    build_gram_unknown,
+    rescale_gram,
+    scenario_blocks,
+    srm_block,
+    srm_blocks,
+    total_success,
+)
+from qedge import discrimination
 from qedge.gram import tridiag_inverse_reference
 from qedge.linalg import psd_sqrt
 
@@ -109,10 +124,22 @@ def test_rank_one_blocks():
         assert np.linalg.matrix_rank(g.dense, tol=1e-12 * g.trace) == 1
 
 
-def test_srm_block_leaves_dense_unbuilt():
+def test_srm_block_leaves_dense_unbuilt(monkeypatch):
     for g in (build_gram_unknown(30, 3, 4), build_gram_known(30, 2, 11), build_gram_unknown(30, 2, 0)):
         srm_block(g)
         assert "dense" not in g.__dict__
+    built = []
+
+    def recording(scenario, params):
+        pairs = scenario_blocks(scenario, params)
+        built.extend(g for _, g in pairs)
+        return pairs
+
+    monkeypatch.setattr(discrimination, "scenario_blocks", recording)
+    for scenario in ("unknown", "known"):
+        total_success(ScenarioSpec(scenario, StringParams(30, 2), "srm"))
+    assert len(built) == 16 + 31
+    assert not any("dense" in g.__dict__ for g in built)
 
 
 def test_dense_refuses_generators_outside_float_range():
@@ -121,3 +148,74 @@ def test_dense_refuses_generators_outside_float_range():
     with pytest.raises(ValueError):
         g.dense
     assert 0 < srm_block(g) < g.trace
+
+
+@pytest.mark.parametrize("kappa", [10.0, 1e4, 1e7, 2.6e7, 1e9, 1e20])
+def test_inverse_sqrt_rule_is_positive_and_accurate(kappa):
+    # from 1e9 the nodes come from the expansion in the complementary parameter
+    lo = 0.37
+    weights, shifts = discrimination._inverse_sqrt_rule(lo, lo * kappa)
+    assert np.all(weights > 0) and np.all(shifts > 0)
+    x = np.geomspace(lo, lo * kappa, 3001)
+    approx = np.sum(weights[:, None] / (x[None, :] + shifts[:, None]), axis=0)
+    assert np.abs(approx * np.sqrt(x) - 1.0).max() <= 1e-13
+
+
+def mrrr_srm(g):
+    """SRM value from the full eigendecomposition G^{-1} = V diag(mu) V^T by MRRR."""
+    mu, vec = eigh_tridiagonal(*g.inverse_tridiagonal())
+    root_diag = vec ** 2 @ mu ** -0.5
+    return float(root_diag @ root_diag)
+
+
+@pytest.mark.parametrize("scenario", ["unknown", "known"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_srm_blocks_match_tridiagonal_eigensolver(scenario, d):
+    for n in (9, 40, 198):
+        grams = [g for _, g in scenario_blocks(scenario, StringParams(n, d))]
+        for g, val in zip(grams, srm_blocks(grams)):
+            if g.rank_one:
+                continue
+            ref = mrrr_srm(g)
+            assert abs(val - ref) <= 1e-12 * ref, (n, g.block)
+
+
+@pytest.mark.parametrize("scenario", ["unknown", "known"])
+def test_total_per_block_matches_single_block_calls(scenario):
+    # the batched call covers the union of all blocks' spectra, one block alone only its own
+    params = StringParams(60, 3)
+    res = total_success(ScenarioSpec(scenario, params, "srm"))
+    for label, g in scenario_blocks(scenario, params):
+        single = srm_block(g)
+        assert abs(res.per_block[label] - single) <= 1e-13 * single, label
+
+
+def test_srm_blocks_mixed_batches():
+    assert srm_blocks([]) == []
+    rank_one = build_gram_unknown(12, 2, 0)
+    order_one = build_gram_known(12, 3, 0)          # e = 12: the single hypothesis k = 12
+    full = [build_gram_unknown(12, 2, 3), build_gram_known(40, 2, 21), build_gram_unknown(9, 3, 1)]
+    assert order_one.order == 1 and not full[0].rank_one
+    batch = [full[0], rank_one, full[1], order_one, full[2]]
+    expected = [srm_block(g) for g in batch]
+    got = srm_blocks(batch)
+    assert got[1] == expected[1] and got[3] == expected[3]
+    assert got[3] == pytest.approx(order_one.trace, rel=1e-15)
+    for i in (0, 2, 4):
+        assert got[i] == pytest.approx(expected[i], rel=1e-13)
+    assert srm_blocks([rank_one, order_one]) == [expected[1], expected[3]]
+
+
+def test_srm_blocks_rejects_singular_block():
+    g = build_gram_unknown(10, 2, 2)
+    log_delta = g.log_delta.copy()
+    log_delta[1] = -np.inf
+    singular = SemiseparableGram(g.block, g.log_eta, g.log_r, log_delta)
+    assert not singular.rank_one
+    with pytest.raises(ValueError):
+        srm_blocks([g, singular])
+
+
+def test_one_srm_path():
+    assert "eigh_tridiagonal" not in inspect.getsource(discrimination)
+    assert not hasattr(discrimination, "eigh_tridiagonal")
