@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ellipj, ellipkm1
 
 from .combinatorics import CapacityError, StringParams
-from .gram import SemiseparableGram, build_gram_known, build_gram_unknown
+from .gram import (SemiseparableGram, build_gram_known, build_gram_unknown, log_bidiagonal_squares,
+                   log_generators)
 from .linalg import SdpSolution, _check_gap_tol, solve_discrimination_sdp
 
 __all__ = [
@@ -75,17 +76,19 @@ def scenario_blocks(scenario: str, params: StringParams) -> list[tuple[int, Semi
     by the excitation count n1 = N - ntilde0 for qubits and by ntilde0 for
     d > 2.
     """
-    N, d = params.N, params.d
-    if scenario == "unknown":
-        return [(lam, build_gram_unknown(N, d, lam)) for lam in range(N // 2 + 1)]
-    pairs = []
-    for ntilde0 in range(N + 1):
-        g = build_gram_known(N, d, ntilde0)
-        label = g.block.n1 if d == 2 else ntilde0
-        pairs.append((label, g))
-    return pairs
+    build = build_gram_unknown if scenario == "unknown" else build_gram_known
+    labels, arguments = _block_arguments(scenario, params)
+    return [(label, build(params.N, params.d, a)) for label, a in zip(labels, arguments)]
 
 
+def _block_arguments(scenario: str, params: StringParams) -> tuple[range, range]:
+    """Labels of a scenario's blocks and the lam or ntilde0 each is built from, in order."""
+    arguments = range(params.N // 2 + 1 if scenario == "unknown" else params.N + 1)
+    return (arguments[::-1] if scenario == "known" and params.d == 2 else arguments), arguments
+
+
+# Log of the float64 maximum, above b_k^2 c_k^2 and the pivot products (sigma + b_k^2) b_k^2.
+_LOG_MAX = math.log(np.finfo(float).max)
 # Relative error the node count of the rule for x^{-1/2} aims at.
 _RULE_TOL = 2e-16
 # Floats of shifted pivots `srm_blocks` holds at once (256 KB).  The blocks of
@@ -133,12 +136,6 @@ def _inverse_sqrt_rule(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     return weights, shifts
 
 
-def _segment(n: int) -> int:
-    """Positions per segment of `_root_diagonal` for order n: sqrt(n) minimises the
-    n/segment + segment rows of pivots it holds per shift and block."""
-    return math.isqrt(n)
-
-
 def _root_diagonal(b2: np.ndarray, c2: np.ndarray, weights: np.ndarray,
                    shifts: np.ndarray) -> np.ndarray:
     """diag(T^{-1/2}) = sum_j w_j [(T + sigma_j)^{-1}]_kk for every position k and block
@@ -148,11 +145,11 @@ def _root_diagonal(b2: np.ndarray, c2: np.ndarray, weights: np.ndarray,
     With f_k = c_{k-1}^2 t_{k-1} / (b_{k-1}^2 + t_{k-1}) (f_1 = 0), the top-down pivots of
     T + s are t_k = s + f_k and the bottom-up ones r_k = s + b_k^2 r_{k+1} / (r_{k+1} + c_k^2)
     (r_n = s + b_n^2, since c_n = 0), and [(T + s)^{-1}]_kk = 1 / (r_k + f_k).  Every term
-    is positive.  The top-down pass keeps f only where a segment of `_segment(n)`
-    positions starts; the bottom-up pass recomputes each segment's f from there.
+    is positive.  The top-down pass keeps f only where a segment of sqrt(n) positions starts
+    (fewest rows held), and the bottom-up pass recomputes each segment's f from there.
     """
     n, blocks = b2.shape
-    seg = _segment(n)
+    seg = math.isqrt(n)
     s = shifts[:, None]
     pivot = np.repeat(s, blocks, axis=1)
     den = np.empty_like(pivot)
@@ -189,69 +186,74 @@ def _root_diagonal(b2: np.ndarray, c2: np.ndarray, weights: np.ndarray,
     return root
 
 
-def _gershgorin_bound(b2: np.ndarray, c2: np.ndarray) -> float:
-    """Largest Gershgorin row sum b_k^2 + c_{k-1}^2 + b_k c_k + b_{k-1} c_{k-1} of T = B^T B."""
-    row_sums = np.sqrt(b2 * c2)
-    row_sums[1:] += row_sums[:-1].copy()
-    row_sums += b2
-    row_sums[1:] += c2[:-1]
-    return float(row_sums.max())
+def _srm_values(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray, log_delta: np.ndarray,
+                describe: Callable[[int], object]) -> np.ndarray:
+    """`srm_blocks` of blocks laid end to end in flat arrays with the given orders
+    (`log_generators`); ``describe(i)`` names block i in errors."""
+    ends = np.cumsum(orders) - 1
+    starts = ends + 1 - orders
+    vanishing = np.isneginf(log_delta)
+    vanishing[ends] = True
+    rank_one = np.logical_and.reduceat(vanishing, starts)   # every Delta but the last vanishes
+    traces = np.add.reduceat(np.exp(log_eta), starts)
+    values = np.add.reduceat(np.square(np.exp(log_eta)), starts) / traces
+    full = np.flatnonzero(~rank_one)
+    if full.size == 0:
+        return values
+    log_b2, log_c2 = log_bidiagonal_squares(log_eta, log_r, log_delta, ends)
+    outside = np.repeat(rank_one, orders)
+    log_b2[outside] = log_c2[outside] = -np.inf   # b = c = 0: rank-one blocks stay out
+    worst = int(np.argmax(np.maximum(log_b2, log_c2)))
+    log_big = max(log_b2[worst], log_c2[worst])
+    fits = log_big <= 0.5 * _LOG_MAX   # b_k^2 c_k^2 stays finite; inf if some Delta_k = 0
+    if fits:
+        b2, c2 = np.exp(log_b2, out=log_b2), np.exp(log_c2, out=log_c2)
+        row_sums = np.sqrt(b2 * c2)   # Gershgorin: b_k^2 + c_{k-1}^2 + b_k c_k + b_{k-1} c_{k-1}
+        row_sums[1:] += row_sums[:-1].copy()
+        row_sums += b2
+        row_sums[1:] += c2[:-1]
+        weights, shifts = _inverse_sqrt_rule(1.0 / traces[full].max(), float(row_sums.max()))
+        fits = log_big + math.log(shifts.max() + math.exp(log_big)) <= _LOG_MAX
+    if not fits:
+        problem = ("is singular (some Delta_k = 0)" if math.isinf(log_big) else
+                   f"has b_k^2 or c_k^2 = exp({log_big:.1f}): the SRM products overflow float64")
+        raise ValueError(f"block {describe(int(np.searchsorted(ends, worst)))} {problem}")
+    full = full[np.argsort(-orders[full], kind="stable")]
+    lengths, starts = orders[full], starts[full]
+    first = 0
+    while first < len(full):
+        n = lengths[first]
+        seg = math.isqrt(n)   # as in `_root_diagonal`
+        held = len(shifts) * (-(-n // seg) + seg)   # pivots per block: segment starts, one segment
+        last = min(len(full), first + max(1, _CHUNK_FLOATS // held))
+        position = np.arange(n)[:, None]
+        inside = position < lengths[first:last]
+        index = np.where(inside, starts[first:last] + position, 0)
+        root_diag = _root_diagonal(np.where(inside, b2[index], 0.0), np.where(inside, c2[index], 0.0),
+                                   weights, shifts)
+        root_diag *= inside
+        values[full[first:last]] = np.sum(root_diag ** 2, axis=0)
+        first = last
+    return values
 
 
 def srm_blocks(grams: Sequence[SemiseparableGram]) -> list[float]:
     """Square-root-measurement joint success of each block: sum of squared diagonal entries of sqrt(G).
 
     A rank-one block has sqrt(G) = G / tr G, so its value is sum eta^2 / sum eta.
-    For every other block diag(sqrt(G)) = diag(T^{-1/2}), T = G^{-1} = B^T B with
-    B upper bidiagonal (`SemiseparableGram.bidiagonal_factor`).  One rule
-    x^{-1/2} ~ sum_j w_j / (x + sigma_j) with positive w_j and sigma_j
-    (`_inverse_sqrt_rule`) covers the spectra of all blocks of the call: T's
-    eigenvalues lie in [1 / tr G, largest Gershgorin row sum].  So
-    diag(T^{-1/2}) = sum_j w_j diag((T + sigma_j)^{-1}), each term from the
-    subtraction-free pivots of `_root_diagonal`, and every diagonal entry
-    of sqrt(G) carries the rule's relative error.  The blocks are sorted by
-    order and run, in chunks of similar order padded with zero coupling past
-    each block's end, through one position loop vectorised over shifts and
-    blocks; a chunk holds about `_CHUNK_FLOATS` pivots.  No dense matrix is
-    built.  A singular block that is not rank one raises ValueError.
+    For every other block diag(sqrt(G)) = diag(T^{-1/2}), T = G^{-1} = B^T B
+    (`log_bidiagonal_squares`), is sum_j w_j diag((T + sigma_j)^{-1}) by one
+    positive rule for x^{-1/2} on [1 / max tr G, largest Gershgorin row sum of T]
+    (`_inverse_sqrt_rule`), each term from the subtraction-free pivots of
+    `_root_diagonal`, run over chunks of blocks of similar order.  No dense
+    matrix is built.  A singular block that is not rank one raises ValueError, and
+    so does one whose b_k^2 or c_k^2 would overflow b_k^2 c_k^2 or the pivot products.
     """
-    values = [0.0] * len(grams)
-    full = []
-    for i, g in enumerate(grams):
-        if g.rank_one:
-            eta = g.priors
-            values[i] = float(eta @ eta / eta.sum())
-        else:
-            full.append(i)
-    if not full:
-        return values
-    full.sort(key=lambda i: grams[i].order, reverse=True)
-    orders = np.array([grams[i].order for i in full])
-    starts = np.cumsum(orders) - orders
-    b2 = np.empty(orders.sum())     # all blocks end to end, no coupling from one to the next
-    c2 = np.zeros_like(b2)
-    for i, start, n in zip(full, starts, orders):
-        b2[start:start + n], c2[start:start + n - 1] = grams[i].bidiagonal_factor()
-    lo = 1.0 / max(grams[i].trace for i in full)
-    weights, shifts = _inverse_sqrt_rule(lo, _gershgorin_bound(b2, c2))
-    squares = np.empty(len(full))
-    first = 0
-    while first < len(full):
-        n = orders[first]
-        seg = _segment(n)
-        held = len(shifts) * (-(-n // seg) + seg)   # pivots per block: segment starts, one segment
-        last = min(len(full), first + max(1, _CHUNK_FLOATS // held))
-        position = np.arange(n)[:, None]
-        inside = position < orders[first:last]
-        index = np.where(inside, starts[first:last] + position, 0)
-        root_diag = _root_diagonal(np.where(inside, b2[index], 0.0), np.where(inside, c2[index], 0.0),
-                                   weights, shifts)
-        root_diag *= inside
-        squares[first:last] = np.sum(root_diag ** 2, axis=0)
-        first = last
-    for col, i in enumerate(full):
-        values[i] = float(squares[col])
-    return values
+    if not grams:
+        return []
+    orders = np.array([g.order for g in grams])
+    flat = map(np.concatenate, zip(*[(g.log_eta, g.log_r, g.log_delta) for g in grams]))
+    return _srm_values(orders, *flat, lambda i: grams[i].block).tolist()
 
 
 def srm_block(g: SemiseparableGram) -> float:
@@ -286,13 +288,15 @@ def total_success(spec: ScenarioSpec, gap_tol: float = 1e-8) -> DiscriminationRe
     cap = SRM_MAX_PARTICLES if spec.method == "srm" else SDP_MAX_PARTICLES
     if N > cap:
         raise CapacityError(f"method {spec.method!r} capped at N <= {cap}, got {N}")
-    blocks = scenario_blocks(spec.scenario, spec.params)
     certificates: Optional[dict[int, SdpSolution]] = None
     if spec.method == "srm":
-        per_block = dict(zip((label for label, _ in blocks), srm_blocks([g for _, g in blocks])))
+        labels, arguments = _block_arguments(spec.scenario, spec.params)
+        values = _srm_values(*log_generators(spec.scenario, N, spec.params.d, arguments),
+                             lambda i: f"{labels[i]} of {spec}")
+        per_block = dict(zip(labels, values.tolist()))
     else:
         per_block, certificates = {}, {}
-        for label, g in blocks:
+        for label, g in scenario_blocks(spec.scenario, spec.params):
             per_block[label], certificates[label] = optimal_block(g, gap_tol=gap_tol)
     total = float(sum(per_block.values()))
     return DiscriminationResult(per_block=per_block, total=total, certificates=certificates)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Optional, Union
+from typing import IO, Sequence, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -28,6 +28,8 @@ __all__ = [
     "build_gram_known",
     "build_gram_unknown",
     "dump_gram_csv",
+    "log_bidiagonal_squares",
+    "log_generators",
     "rescale_gram",
     "tridiag_inverse_reference",
 ]
@@ -37,9 +39,8 @@ __all__ = [
 class KnownBlock:
     """Known-unknown sub-problem after counting ntilde0 particles in |0>.
 
-    ``excitations`` = N - ntilde0 is the number of particles outside |0>
-    (equal to n_1 for qubits).  Hypotheses are k in {max(excitations,1)..N}
-    with priors binom(excitations+d-2, d-2) / (N d^sym_k).
+    e = N - ntilde0 particles lie outside |0> (n_1 of them for qubits).  Hypotheses
+    are k in {max(e,1)..N} with priors binom(e+d-2, d-2) / (N d^sym_k).
     """
 
     params: StringParams
@@ -47,20 +48,12 @@ class KnownBlock:
     k_range: range = field(repr=False)
 
     @property
-    def excitations(self) -> int:
-        return self.params.N - self.ntilde0
-
-    @property
-    def n1(self) -> int:
-        return self.excitations
-
-    @property
     def labels(self) -> tuple[int, ...]:
         return tuple(self.k_range)
 
     def priors_exact(self) -> list[tuple[int, Fraction]]:
         N, d = self.params.N, self.params.d
-        mult = math.comb(self.excitations + d - 2, d - 2)
+        mult = math.comb(N - self.ntilde0 + d - 2, d - 2)
         return [(k, Fraction(mult, N * sym_dim(k, d))) for k in self.k_range]
 
 
@@ -112,26 +105,13 @@ class SemiseparableGram:
     def trace(self) -> float:
         return float(np.sum(self.priors))
 
-    def bidiagonal_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """Squared entries (b^2, c^2) of the upper bidiagonal B = C^{-1}, G^{-1} = B^T B.
-
-        B_kk = b_k = 1/(v_k sqrt(Delta_k)) and B_k,k+1 = -c_k = -1/(v_{k+1} sqrt(Delta_k)),
-        exponentiated from the log-generators, so every entry is positive and
-        nothing cancels.  A block with some Delta_k = 0 is singular and raises
-        ValueError.
-        """
+    def inverse_tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal b_k^2 + c_{k-1}^2 and off-diagonal -b_k c_k of G^{-1} = B^T B
+        (`log_bidiagonal_squares`); a singular block (some Delta_k = 0) raises ValueError."""
         if np.any(np.isneginf(self.log_delta)):
             raise ValueError(f"block {self.block} is singular (some Delta_k = 0)")
-        log_v = 0.5 * (self.log_eta - self.log_r)
-        return np.exp(-self.log_delta - 2 * log_v), np.exp(-self.log_delta[:-1] - 2 * log_v[1:])
-
-    def inverse_tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal of G^{-1} = B^T B (`bidiagonal_factor`):
-        b_k^2 + c_{k-1}^2 and -b_k c_k, a sum of squares and a product."""
-        b2, c2 = self.bidiagonal_factor()
-        diag = b2.copy()
-        diag[1:] += c2
-        return diag, -np.sqrt(b2[:-1] * c2)
+        b2, c2 = np.exp(log_bidiagonal_squares(self.log_eta, self.log_r, self.log_delta, -1))
+        return b2 + np.append(0.0, c2[:-1]), -np.sqrt(b2[:-1] * c2[:-1])
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -148,38 +128,60 @@ class SemiseparableGram:
         return upper + np.triu(upper, 1).T
 
 
-def _log_binom(n, r):
-    return gammaln(n + 1) - gammaln(r + 1) - gammaln(n - r + 1)
+def log_generators(scenario: str, N: int, d: int, labels: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Orders and log eta_k, log r_k, log Delta_k of the blocks ``labels`` (lam if unknown,
+    ntilde0 if known) of (scenario, N, d), laid end to end in one flat array each.
 
-
-def _log_sym_dim(n, d: int):
-    return _log_binom(n + d - 1, d - 1)
-
-
-def _log_generators(N: int, d: int, lam: Optional[int] = None, e: Optional[int] = None):
-    """log eta_k, log r_k and log Delta_k of an unknown (lam) or known (e) block.
-
-    Delta_k comes from the exact ratio r_k / r_{k+1} - 1, so no subtraction
-    cancels: lam(N+1-lam) / ((N-k-lam)(k+1-lam)) for unknown blocks and
-    e / (k+1-e) for known blocks; it is 0 (log -inf) for lam = 0 or e = 0.
+    Log-binomials are lookups lf[n] - lf[r] - lf[n - r] into one table of log n!, held
+    for n = 0..N and n = d-2..N+d.  Delta_k is r_{k+1} times the exact ratio r_k/r_{k+1} - 1,
+    lam(N+1-lam) / ((N-k-lam)(k+1-lam)) (unknown) or e / (k+1-e) (known, e = N - ntilde0),
+    so nothing cancels; it is 0 for lam = 0 or e = 0.  A block's last Delta is its last r.
     """
-    if lam is not None:
-        k = np.arange(max(lam, 1), N - lam + 1, dtype=float)
-        log_s = (math.log(N - 2 * lam + 1) + _log_binom(d + lam - 2, d - 2)
-                 + _log_binom(d + N - lam - 1, d - 1) - math.log(N - lam + 1))
-        log_eta = log_s - math.log(N) - _log_sym_dim(N - k, d) - _log_sym_dim(k, d)
-        log_r = _log_binom(N - k, lam) - _log_binom(k, lam)
-        ki = k[:-1]
-        num, den = lam * (N + 1 - lam), (N - ki - lam) * (ki + 1 - lam)
+    lf = gammaln(np.arange(N + 1) + 1)
+    lf_d = gammaln(np.arange(N + 3) + d - 1)   # lf_d[n] = log (d - 2 + n)!
+
+    def log_binom(n, r):
+        return lf[n] - lf[r] - lf[n - r]
+
+    def log_binom_d(n, j=1):   # log binom(d-2+j+n, d-2+j); log sym_dim(n) for j = 1
+        return lf_d[n + j] - lf_d[j] - lf[n]
+
+    unknown = scenario == "unknown"
+    x = np.asarray(labels) if unknown else N - np.asarray(labels)   # lam or e
+    first = np.maximum(x, 1)
+    orders = (N - x if unknown else N) - first + 1
+    ends = np.cumsum(orders) - 1
+    block = np.repeat(np.arange(len(x), dtype=np.int32), orders)
+    xk = x.astype(np.int32)[block]
+    k = np.arange(len(block), dtype=np.int32) + (first - ends + orders - 1).astype(np.int32)[block]
+    if unknown:
+        log_s = (np.log(N - 2 * x + 1) + log_binom_d(x, 0) + log_binom_d(N - x)
+                 - np.log(N - x + 1) - math.log(N))
+        log_eta = log_s[block] - log_binom_d(N - k) - log_binom_d(k)
+        log_r = log_binom(N - k, xk) - log_binom(k, xk)
+        num, den = xk * (N + 1.0 - xk), (N - k - xk) * (k + 1.0 - xk)
     else:
-        k = np.arange(max(e, 1), N + 1, dtype=float)
-        log_eta = _log_binom(e + d - 2, d - 2) - math.log(N) - _log_sym_dim(k, d)
-        log_r = -_log_binom(k, e)
-        num, den = e, k[:-1] + 1 - e
-    with np.errstate(divide="ignore"):
-        log_q = np.log(num) - np.log(den)
-    log_delta = np.append(log_r[1:] + log_q, log_r[-1])
-    return log_eta, log_r, log_delta
+        log_eta = (log_binom_d(x, 0) - math.log(N))[block] - log_binom_d(k)
+        log_r = -log_binom(k, xk)
+        num, den = xk, k + 1 - xk
+    with np.errstate(divide="ignore", invalid="ignore"):   # at block ends too; replaced below
+        log_delta = np.log(num) - np.log(den)
+    log_delta[:-1] += log_r[1:]
+    log_delta[ends] = log_r[ends]
+    return orders, log_eta, log_r, log_delta
+
+
+def log_bidiagonal_squares(log_eta: np.ndarray, log_r: np.ndarray, log_delta: np.ndarray,
+                           ends) -> tuple[np.ndarray, np.ndarray]:
+    """log b_k^2 = -log Delta_k - 2 log v_k and log c_k^2 = -log Delta_k - 2 log v_{k+1} of
+    blocks laid end to end (`log_generators`; c^2 = 0 at each block's end ``ends``):
+    the squared entries b_k = B_kk, c_k = -B_k,k+1 of B = C^{-1}, G^{-1} = B^T B."""
+    log_v2 = log_eta - log_r
+    log_b2 = np.negative(log_delta)
+    log_c2 = np.empty_like(log_b2)
+    np.subtract(log_b2[:-1], log_v2[1:], out=log_c2[:-1])
+    log_c2[ends] = -np.inf
+    return np.subtract(log_b2, log_v2, out=log_b2), log_c2
 
 
 def build_gram_unknown(N: int, d: int, lam: int) -> SemiseparableGram:
@@ -189,11 +191,8 @@ def build_gram_unknown(N: int, d: int, lam: int) -> SemiseparableGram:
     generators u_k = sqrt(eta r_k), r_k = binom(N-k,lam)/binom(k,lam), and
     v_k = sqrt(eta / r_k).
     """
-    params = StringParams(N, d)
-    k_range = hypothesis_range(N, lam)
-    log_eta, log_r, log_delta = _log_generators(N, d, lam=lam)
-    block = IrrepBlock(params=params, lam=lam, k_range=k_range)
-    return SemiseparableGram(block, log_eta, log_r, log_delta)
+    block = IrrepBlock(params=StringParams(N, d), lam=lam, k_range=hypothesis_range(N, lam))
+    return SemiseparableGram(block, *log_generators("unknown", N, d, [lam])[1:])
 
 
 def build_gram_known(N: int, d: int, ntilde0: int) -> SemiseparableGram:
@@ -207,11 +206,8 @@ def build_gram_known(N: int, d: int, ntilde0: int) -> SemiseparableGram:
     """
     if not 0 <= ntilde0 <= N:
         raise ValueError(f"ntilde0 must be in 0..N, got {ntilde0}")
-    params = StringParams(N, d)
-    e = N - ntilde0
-    log_eta, log_r, log_delta = _log_generators(N, d, e=e)
-    block = KnownBlock(params=params, ntilde0=ntilde0, k_range=range(max(e, 1), N + 1))
-    return SemiseparableGram(block, log_eta, log_r, log_delta)
+    block = KnownBlock(StringParams(N, d), ntilde0, k_range=range(max(N - ntilde0, 1), N + 1))
+    return SemiseparableGram(block, *log_generators("known", N, d, [ntilde0])[1:])
 
 
 def rescale_gram(g: SemiseparableGram) -> SemiseparableGram:

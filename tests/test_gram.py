@@ -13,7 +13,7 @@ from qedge import (
     sym_dim,
     tridiag_inverse_reference,
 )
-from qedge.gram import dump_gram_csv
+from qedge.gram import dump_gram_csv, log_generators
 
 
 def test_unknown_gram_n2_exact():
@@ -202,3 +202,20 @@ def test_csv_dump_headers():
     assert lines[0] == "k,1,2,3"
     assert len(lines) == 4
     assert lines[1].startswith("1,")
+
+
+@pytest.mark.parametrize("scenario, n, d, labels", [
+    ("unknown", 9, 3, [4, 0, 2, 1]),
+    ("known", 7, 2, [7, 0, 3]),
+    # the log-factorial table is held only where it is read: over n = 0..N+d it would take 8 TB
+    ("known", 3, 10**12, [0, 1, 2, 3]),
+])
+def test_log_generators_lay_blocks_end_to_end(scenario, n, d, labels):
+    build = build_gram_unknown if scenario == "unknown" else build_gram_known
+    orders, *flat = log_generators(scenario, n, d, labels)
+    ends = np.cumsum(orders)
+    for label, start, stop in zip(labels, ends - orders, ends):
+        g = build(n, d, label)
+        for name, values in zip(("log_eta", "log_r", "log_delta"), flat):
+            assert np.array_equal(values[start:stop], getattr(g, name)), (label, name)
+    assert np.all(np.isfinite(flat[0]))

@@ -2,6 +2,7 @@
 checked against dense linear algebra, a tridiagonal eigensolver and a 40-digit dense reference."""
 
 import inspect
+import math
 
 import mpmath
 import numpy as np
@@ -18,9 +19,11 @@ from qedge import (
     scenario_blocks,
     srm_block,
     srm_blocks,
+    success_curve,
     total_success,
 )
 from qedge import discrimination
+from qedge import gram as gram_module
 from qedge.gram import tridiag_inverse_reference
 from qedge.linalg import psd_sqrt
 
@@ -124,22 +127,29 @@ def test_rank_one_blocks():
         assert np.linalg.matrix_rank(g.dense, tol=1e-12 * g.trace) == 1
 
 
-def test_srm_block_leaves_dense_unbuilt(monkeypatch):
+def test_srm_block_leaves_dense_unbuilt():
     for g in (build_gram_unknown(30, 3, 4), build_gram_known(30, 2, 11), build_gram_unknown(30, 2, 0)):
         srm_block(g)
         assert "dense" not in g.__dict__
-    built = []
 
-    def recording(scenario, params):
-        pairs = scenario_blocks(scenario, params)
-        built.extend(g for _, g in pairs)
-        return pairs
 
-    monkeypatch.setattr(discrimination, "scenario_blocks", recording)
+@pytest.mark.parametrize("module, name", [
+    (discrimination, "scenario_blocks"), (discrimination, "build_gram_unknown"),
+    (discrimination, "build_gram_known"), (gram_module, "SemiseparableGram"),
+])
+def test_srm_total_builds_no_block(monkeypatch, module, name):
+    class Built(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Built(name)
+
+    monkeypatch.setattr(module, name, refuse)
     for scenario in ("unknown", "known"):
-        total_success(ScenarioSpec(scenario, StringParams(30, 2), "srm"))
-    assert len(built) == 16 + 31
-    assert not any("dense" in g.__dict__ for g in built)
+        assert 0 < total_success(ScenarioSpec(scenario, StringParams(12, 2), "srm")).total < 1
+    with pytest.raises(Built):   # the SDP totals still build their blocks
+        for scenario in ("unknown", "known"):
+            total_success(ScenarioSpec(scenario, StringParams(12, 2), "sdp"))
 
 
 def test_dense_refuses_generators_outside_float_range():
@@ -182,12 +192,32 @@ def test_srm_blocks_match_tridiagonal_eigensolver(scenario, d):
 
 @pytest.mark.parametrize("scenario", ["unknown", "known"])
 def test_total_per_block_matches_single_block_calls(scenario):
-    # the batched call covers the union of all blocks' spectra, one block alone only its own
-    params = StringParams(60, 3)
-    res = total_success(ScenarioSpec(scenario, params, "srm"))
-    for label, g in scenario_blocks(scenario, params):
-        single = srm_block(g)
-        assert abs(res.per_block[label] - single) <= 1e-13 * single, label
+    # the batched call covers the union of all blocks' spectra, one block alone only its own;
+    # N = 1, 2 hold no full-rank block, N = 3 order-1 and rank-one blocks next to a full one
+    for n in (1, 2, 3, 60, 61):
+        for d in (2, 3, 8):
+            params = StringParams(n, d)
+            res = total_success(ScenarioSpec(scenario, params, "srm"))
+            blocks = scenario_blocks(scenario, params)
+            assert list(res.per_block) == [label for label, _ in blocks]
+            for label, g in blocks:
+                single = srm_block(g)
+                assert abs(res.per_block[label] - single) <= 1e-13 * single, (n, d, label)
+
+
+def test_srm_range_limit():
+    # known N = 400, d = 200: b_k^2 reaches exp(384.1) = 1e167, past sqrt of the float64
+    # maximum, exp(354.9)
+    with pytest.raises(ValueError, match=r"block 399 of .* exp\(384\.1\): .* overflow float64"):
+        total_success(ScenarioSpec("known", StringParams(400, 200), "srm"))
+    (row,) = success_curve("known", 200, [400], "srm")
+    assert row.status == "error:ValueError" and math.isnan(row.p_success)
+    # known N = 100: b_k^2 up to 1e146 at d = 1000 is inside.  At d = 1230 every b_k^2
+    # is below sqrt of the float64 maximum, but the shifted pivot products would
+    # overflow, so the total raises instead of warning and returning inf or nan
+    assert 0.99 < total_success(ScenarioSpec("known", StringParams(100, 1000), "srm")).total < 1
+    with pytest.raises(ValueError, match=r"block 99 of .* exp\(353\.7\): .* overflow float64"):
+        total_success(ScenarioSpec("known", StringParams(100, 1230), "srm"))
 
 
 def test_srm_blocks_mixed_batches():
