@@ -3,25 +3,27 @@
 Both scenarios (unknown-unknown, known-unknown) reduce to pure-state
 discrimination on Gram blocks.  The square-root measurement needs no
 optimization: its joint success probability on a block is the sum of squared
-diagonal entries of sqrt(G), which `srm_blocks` takes for all blocks of a
+diagonal entries of sqrt(G), which one kernel call takes for all blocks of a
 total at once from a positive rational rule for x^{-1/2} applied to the
-tridiagonal G^{-1}.  The optimal value is the block SDP optimum.  Totals sum
-the joint block values over all outcomes of the first measurement.
+tridiagonal G^{-1}.  The optimal value, the block SDP optimum, is the SRM of a
+reweighted block, found by repeated kernel calls.  Totals sum the joint block
+values over all outcomes of the first measurement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ellipj, ellipkm1
 
 from .combinatorics import CapacityError, StringParams
-from .gram import (SemiseparableGram, build_gram_known, build_gram_unknown, log_bidiagonal_squares,
-                   log_generators)
-from .linalg import SdpSolution, _check_gap_tol, solve_discrimination_sdp
+from .gram import (SemiseparableGram, build_gram_known, build_gram_unknown, dense_gram,
+                   log_bidiagonal_squares, log_generators)
+from .linalg import SdpSolution, _check_gap_tol, _reweighted_srm, solve_discrimination_sdp
 
 __all__ = [
     "CurvePoint",
@@ -186,20 +188,20 @@ def _root_diagonal(b2: np.ndarray, c2: np.ndarray, weights: np.ndarray,
     return root
 
 
-def _srm_values(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray, log_delta: np.ndarray,
-                describe: Callable[[int], object]) -> np.ndarray:
-    """`srm_blocks` of blocks laid end to end in flat arrays with the given orders
-    (`log_generators`); ``describe(i)`` names block i in errors."""
+def _root_diagonals(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray,
+                    log_delta: np.ndarray, describe: Callable[[int], object]) -> np.ndarray:
+    """diag(G^{1/2}) of blocks laid end to end in flat arrays with the given orders
+    (`log_generators`), one entry per position; ``describe(i)`` names block i in errors.
+    A rank-one block has G^{1/2} = G / sqrt(tr G)."""
     ends = np.cumsum(orders) - 1
     starts = ends + 1 - orders
-    vanishing = np.isneginf(log_delta)
-    vanishing[ends] = True
-    rank_one = np.logical_and.reduceat(vanishing, starts)   # every Delta but the last vanishes
-    traces = np.add.reduceat(np.exp(log_eta), starts)
-    values = np.add.reduceat(np.square(np.exp(log_eta)), starts) / traces
+    rank_one = _rank_one(log_delta, starts, ends)
+    eta = np.exp(log_eta)
+    traces = np.add.reduceat(eta, starts)
+    root = eta / np.sqrt(np.repeat(traces, orders))
     full = np.flatnonzero(~rank_one)
     if full.size == 0:
-        return values
+        return root
     log_b2, log_c2 = log_bidiagonal_squares(log_eta, log_r, log_delta, ends)
     outside = np.repeat(rank_one, orders)
     log_b2[outside] = log_c2[outside] = -np.inf   # b = c = 0: rank-one blocks stay out
@@ -231,23 +233,34 @@ def _srm_values(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray, log_
         index = np.where(inside, starts[first:last] + position, 0)
         root_diag = _root_diagonal(np.where(inside, b2[index], 0.0), np.where(inside, c2[index], 0.0),
                                    weights, shifts)
-        root_diag *= inside
-        values[full[first:last]] = np.sum(root_diag ** 2, axis=0)
+        root[index[inside]] = root_diag[inside]
         first = last
-    return values
+    return root
+
+
+def _rank_one(log_delta: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Which blocks laid end to end are rank one: every Delta but the last vanishes."""
+    vanishing = np.isneginf(log_delta)
+    vanishing[ends] = True
+    return np.logical_and.reduceat(vanishing, starts)
+
+
+def _srm_values(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray, log_delta: np.ndarray,
+                describe: Callable[[int], object]) -> np.ndarray:
+    """SRM value sum_k [G^{1/2}]_kk^2 of each block laid end to end (`_root_diagonals`)."""
+    root = _root_diagonals(orders, log_eta, log_r, log_delta, describe)
+    return np.add.reduceat(np.square(root), np.cumsum(orders) - orders)
 
 
 def srm_blocks(grams: Sequence[SemiseparableGram]) -> list[float]:
     """Square-root-measurement joint success of each block: sum of squared diagonal entries of sqrt(G).
 
-    A rank-one block has sqrt(G) = G / tr G, so its value is sum eta^2 / sum eta.
-    For every other block diag(sqrt(G)) = diag(T^{-1/2}), T = G^{-1} = B^T B
-    (`log_bidiagonal_squares`), is sum_j w_j diag((T + sigma_j)^{-1}) by one
-    positive rule for x^{-1/2} on [1 / max tr G, largest Gershgorin row sum of T]
-    (`_inverse_sqrt_rule`), each term from the subtraction-free pivots of
-    `_root_diagonal`, run over chunks of blocks of similar order.  No dense
-    matrix is built.  A singular block that is not rank one raises ValueError, and
-    so does one whose b_k^2 or c_k^2 would overflow b_k^2 c_k^2 or the pivot products.
+    A rank-one block has sqrt(G) = G / sqrt(tr G).  For every other block
+    diag(sqrt(G)) = diag(T^{-1/2}), T = G^{-1}, is sum_j w_j diag((T + sigma_j)^{-1}) by
+    one positive rule for x^{-1/2} (`_inverse_sqrt_rule`), each term from the
+    subtraction-free pivots of `_root_diagonal`; no dense matrix is built.  A singular
+    block that is not rank one raises ValueError, and so does one whose b_k^2 or c_k^2
+    would overflow b_k^2 c_k^2 or the pivot products.
     """
     if not grams:
         return []
@@ -261,19 +274,95 @@ def srm_block(g: SemiseparableGram) -> float:
     return srm_blocks([g])[0]
 
 
-def optimal_block(g: SemiseparableGram, gap_tol: float = 1e-8) -> tuple[float, SdpSolution]:
-    """Optimal joint success of one block together with its SDP certificate.
+# Reweighting stops once a block's log(S_kk / w_k^2) spread by at most _SPREAD_TOL.  About
+# 25 kernel passes suffice up to the SDP cap; _MAX_PASSES is a guard.  An Anderson step
+# combines the last _ANDERSON_DEPTH passes, dropping singular values below _PINV_RCOND.
+_SPREAD_TOL, _MAX_PASSES, _ANDERSON_DEPTH, _PINV_RCOND = 1e-13, 100, 5, 1e-10
 
-    Rank-one blocks (identical states) get the SDP solver's exact solution:
-    the largest prior, with gap 0 and no Newton step.  The other blocks hold
-    linearly independent states, solved by Newton on a reweighted SRM that
-    starts at the SRM itself.  A solve that fails raises RuntimeError naming
-    the block.
-    """
-    try:
-        sol = solve_discrimination_sdp(g.dense, gap_tol=gap_tol)
-    except Exception as exc:  # attach the block label
-        raise RuntimeError(f"SDP failed on block {g.block}: {exc}") from exc
+
+def _optimal_solutions(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray,
+                       log_delta: np.ndarray, describe: Callable[[int], object],
+                       gap_tol: float) -> list[SdpSolution]:
+    """Optimal-discrimination solution of each block laid end to end (`log_generators`).
+
+    Rank-one blocks take `solve_discrimination_sdp`'s closed form.  For the others
+    the SRM of M = W G W, W = diag(e^x), is optimal once q_k = S_kk / w_k^2
+    (S = M^{1/2}) is the same for every k (Mochon, PRA 73, 032328, 2006).  M has the
+    generators (log eta + 2x, log r, log Delta), so a pass is one `_root_diagonals`
+    call over every block still moving, and x follows x + F - mean F, F = log q, from
+    x = 0 with Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 49, 1715,
+    2011).  The O(n) certificate: P = sum_k S_kk q_k, and Y = c S in the measurement
+    basis, c = max_k q_k, is dual feasible, so D = c sum_k S_kk >= P bounds the
+    optimum; both carry the kernel's relative error, below 1e-13.  Failures raise
+    RuntimeError naming the block."""
+    ends = np.cumsum(orders) - 1
+    starts = ends + 1 - orders
+    rank_one = _rank_one(log_delta, starts, ends)
+    solutions: list[Optional[SdpSolution]] = [None] * len(orders)
+    for i in np.flatnonzero(rank_one):
+        try:
+            solutions[i] = solve_discrimination_sdp(dense_gram(
+                log_eta[starts[i]:ends[i] + 1], log_r[starts[i]:ends[i] + 1], describe(i)), gap_tol)
+        except (ValueError, np.linalg.LinAlgError) as exc:  # attach the block label
+            raise RuntimeError(f"SDP failed on block {describe(i)}: {exc}") from exc
+    full = np.flatnonzero(~rank_one)
+    n = orders[full]
+    inside = np.arange(n.max(initial=0)) < n[:, None]   # one row per block, padded
+    flat = np.where(inside, starts[full][:, None] + np.arange(inside.shape[1]), 0)
+    x = np.zeros(inside.shape)
+    active = np.arange(len(full))   # rows still moving
+    history: list[tuple[np.ndarray, np.ndarray]] = []   # (F - mean F, x + F - mean F) per pass
+    passes = 0
+    while active.size:
+        if passes == _MAX_PASSES:
+            raise RuntimeError(f"SDP failed on block {describe(full[active[0]])}: the reweighting "
+                               f"did not converge in {_MAX_PASSES} kernel passes")
+        mask, xa = inside[active], x[active]
+        at = flat[active][mask]
+        root = np.ones(mask.shape)
+        try:
+            root[mask] = _root_diagonals(n[active], log_eta[at] + 2.0 * xa[mask], log_r[at],
+                                         log_delta[at], lambda j: describe(full[active[j]]))
+        except ValueError as exc:
+            raise RuntimeError(f"SDP failed: {exc}") from exc
+        log_q = np.log(root) - 2.0 * xa   # 0 past each block's end
+        q = np.where(mask, np.exp(log_q), 0.0)
+        spread = np.where(mask, log_q, -np.inf).max(axis=1) - np.where(mask, log_q, np.inf).min(axis=1)
+        done = spread <= _SPREAD_TOL
+        primal = np.sum(root * q, axis=1).tolist()
+        dual = np.sum(q.max(axis=1, keepdims=True) * root * mask, axis=1).tolist()   # termwise >= primal
+        for row in np.flatnonzero(done):
+            i = full[active[row]]
+            block = slice(starts[i], ends[i] + 1)
+            solutions[i] = SdpSolution(
+                partial(_dense_view, log_eta[block], log_r[block], xa[row, :orders[i]].copy(), describe(i)),
+                primal[row], dual[row], passes,
+                "converged" if dual[row] - primal[row] <= gap_tol else "gapExceeded")
+        active, mask, xa, log_q = active[~done], mask[~done], xa[~done], log_q[~done]
+        history = [(r[~done], s[~done]) for r, s in history[-_ANDERSON_DEPTH:]]
+        resid = np.where(mask, log_q - log_q.sum(axis=1, keepdims=True) / n[active, None], 0.0)
+        step = xa + resid
+        x[active] = step
+        if history:
+            d_resid = np.stack([resid - r for r, _ in history], axis=-1)
+            d_step = np.stack([step - s for _, s in history], axis=-1)
+            x[active] -= (d_step @ (np.linalg.pinv(d_resid, rcond=_PINV_RCOND) @ resid[..., None]))[..., 0]
+        history.append((resid, step))
+        passes += 1
+    return solutions
+
+
+def _dense_view(log_eta: np.ndarray, log_r: np.ndarray, x: np.ndarray, block: object):
+    """Dense POVM and dual of a full-rank block at log-weights x (`_reweighted_srm`)."""
+    return _reweighted_srm(dense_gram(log_eta, log_r, block), x)
+
+
+def optimal_block(g: SemiseparableGram, gap_tol: float = 1e-8) -> tuple[float, SdpSolution]:
+    """Optimal joint success of one block and its certificate: `_optimal_solutions` of
+    that block alone.  A solve that fails raises RuntimeError naming the block."""
+    _check_gap_tol(gap_tol)
+    (sol,) = _optimal_solutions(np.array([g.order]), g.log_eta, g.log_r, g.log_delta,
+                                lambda i: g.block, gap_tol)
     return sol.primal_value, sol
 
 
@@ -288,16 +377,18 @@ def total_success(spec: ScenarioSpec, gap_tol: float = 1e-8) -> DiscriminationRe
     cap = SRM_MAX_PARTICLES if spec.method == "srm" else SDP_MAX_PARTICLES
     if N > cap:
         raise CapacityError(f"method {spec.method!r} capped at N <= {cap}, got {N}")
+    labels, arguments = _block_arguments(spec.scenario, spec.params)
+    generators = log_generators(spec.scenario, N, spec.params.d, arguments)
+
+    def describe(i: int) -> str:
+        return f"{labels[i]} of {spec}"
+
     certificates: Optional[dict[int, SdpSolution]] = None
     if spec.method == "srm":
-        labels, arguments = _block_arguments(spec.scenario, spec.params)
-        values = _srm_values(*log_generators(spec.scenario, N, spec.params.d, arguments),
-                             lambda i: f"{labels[i]} of {spec}")
-        per_block = dict(zip(labels, values.tolist()))
+        per_block = dict(zip(labels, _srm_values(*generators, describe).tolist()))
     else:
-        per_block, certificates = {}, {}
-        for label, g in scenario_blocks(spec.scenario, spec.params):
-            per_block[label], certificates[label] = optimal_block(g, gap_tol=gap_tol)
+        certificates = dict(zip(labels, _optimal_solutions(*generators, describe, gap_tol)))
+        per_block = {label: sol.primal_value for label, sol in certificates.items()}
     total = float(sum(per_block.values()))
     return DiscriminationResult(per_block=per_block, total=total, certificates=certificates)
 
@@ -306,14 +397,11 @@ def total_success(spec: ScenarioSpec, gap_tol: float = 1e-8) -> DiscriminationRe
 class CurvePoint:
     """One row of a success-probability sweep.
 
-    ``gap`` is the worst per-block duality gap (0 for SRM rows) and
-    ``iterations`` the largest per-block count of Newton steps (reweighting
-    steps for linearly independent states, barrier steps otherwise), for
-    diagnostics.
-    ``status`` is "ok" only when every block's certificate converged, that is
-    closed its gap within ``gap_tol``; otherwise it is the worst block status
-    ("gapExceeded" or "maxIterations"), or "error:<exception>" when a block
-    solve raised.
+    ``gap`` is the worst per-block duality gap and ``iterations`` the largest
+    per-block `SdpSolution.iterations` (both 0 for SRM rows).  ``status`` is "ok"
+    only when every block's certificate converged, that is closed its gap within
+    ``gap_tol``; otherwise it is the worst block status ("gapExceeded" or
+    "maxIterations"), or "error:<exception>" when a block solve raised.
     """
 
     N: int
@@ -347,16 +435,10 @@ def success_curve(
         except Exception as exc:
             return CurvePoint(n, d, scenario, method, float("nan"), float("nan"),
                               f"error:{type(exc).__name__}")
-        gap = 0.0
-        iterations = 0
-        status = "ok"
-        if res.certificates:
-            sols = res.certificates.values()
-            gap = max(sol.gap for sol in sols)
-            iterations = max(sol.iterations for sol in sols)
-            worst = max((sol.status for sol in sols), key=_STATUS_RANK.index)
-            if worst != "converged":
-                status = worst
-        return CurvePoint(n, d, scenario, method, res.total, gap, status, iterations)
+        sols = (res.certificates or {}).values()
+        worst = max((sol.status for sol in sols), key=_STATUS_RANK.index, default="converged")
+        return CurvePoint(n, d, scenario, method, res.total, max((sol.gap for sol in sols), default=0.0),
+                          "ok" if worst == "converged" else worst,
+                          max((sol.iterations for sol in sols), default=0))
 
     return [one(n) for n in n_values]

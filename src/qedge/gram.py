@@ -27,6 +27,7 @@ __all__ = [
     "SemiseparableGram",
     "build_gram_known",
     "build_gram_unknown",
+    "dense_gram",
     "dump_gram_csv",
     "log_bidiagonal_squares",
     "log_generators",
@@ -115,36 +116,43 @@ class SemiseparableGram:
 
     @cached_property
     def dense(self) -> np.ndarray:
-        """The assembled matrix.  It needs u and v inside the normal float64
-        range: true for every block up to the particle caps, but known blocks
-        with about N/2 excitations leave it from N ~ 2100."""
-        with np.errstate(over="ignore", under="ignore"):
-            u, v = self.u, self.v
-        both = np.concatenate([u, v])
-        if not np.all(np.isfinite(both) & (both >= np.finfo(float).tiny)):
-            raise ValueError(f"block {self.block} has generators outside the float64 range; "
-                             "its dense matrix cannot be assembled")
-        upper = np.triu(np.outer(v, u))
-        return upper + np.triu(upper, 1).T
+        """The assembled matrix (`dense_gram`)."""
+        return dense_gram(self.log_eta, self.log_r, self.block)
+
+
+def dense_gram(log_eta: np.ndarray, log_r: np.ndarray, block: object) -> np.ndarray:
+    """G[i, j] = v_i u_j (i <= j) from one block's log-generators; ``block`` names it in
+    errors.  u and v must lie in the normal float64 range: true for every block up to the
+    particle caps, but known blocks with about N/2 excitations leave it from N ~ 2100."""
+    with np.errstate(over="ignore", under="ignore"):
+        u, v = np.exp(0.5 * (log_eta + log_r)), np.exp(0.5 * (log_eta - log_r))
+    both = np.concatenate([u, v])
+    if not np.all(np.isfinite(both) & (both >= np.finfo(float).tiny)):
+        raise ValueError(f"block {block} has generators outside the float64 range; "
+                         "its dense matrix cannot be assembled")
+    upper = np.triu(np.outer(v, u))
+    return upper + np.triu(upper, 1).T
 
 
 def log_generators(scenario: str, N: int, d: int, labels: Sequence[int]) -> tuple[np.ndarray, ...]:
     """Orders and log eta_k, log r_k, log Delta_k of the blocks ``labels`` (lam if unknown,
     ntilde0 if known) of (scenario, N, d), laid end to end in one flat array each.
 
-    Log-binomials are lookups lf[n] - lf[r] - lf[n - r] into one table of log n!, held
-    for n = 0..N and n = d-2..N+d.  Delta_k is r_{k+1} times the exact ratio r_k/r_{k+1} - 1,
+    Log-binomials of particle counts are lookups lf[n] - lf[r] - lf[n - r] into one table
+    of log n!, n = 0..N.  Those that hold d, log binom(d-2+j+n, n) for j = 0 and 1 (the
+    latter log sym_dim(n)), are cumulative sums of log1p((d-2+j)/i), i = 1..n, so their
+    error does not grow with log (N+d)!.  Delta_k is r_{k+1} times the exact ratio r_k/r_{k+1} - 1,
     lam(N+1-lam) / ((N-k-lam)(k+1-lam)) (unknown) or e / (k+1-e) (known, e = N - ntilde0),
     so nothing cancels; it is 0 for lam = 0 or e = 0.  A block's last Delta is its last r.
     """
     lf = gammaln(np.arange(N + 1) + 1)
-    lf_d = gammaln(np.arange(N + 3) + d - 1)   # lf_d[n] = log (d - 2 + n)!
+    steps = np.arange(1, N + 1)
+    # log binom(d-2+n, n) and log binom(d-1+n, n) = log sym_dim(n), n = 0..N
+    log_mult, log_sym = (np.concatenate(([0.0], np.cumsum(np.log1p((d - 2 + j) / steps))))
+                         for j in (0, 1))
 
     def log_binom(n, r):
         return lf[n] - lf[r] - lf[n - r]
-
-    def log_binom_d(n, j=1):   # log binom(d-2+j+n, d-2+j); log sym_dim(n) for j = 1
-        return lf_d[n + j] - lf_d[j] - lf[n]
 
     unknown = scenario == "unknown"
     x = np.asarray(labels) if unknown else N - np.asarray(labels)   # lam or e
@@ -155,13 +163,13 @@ def log_generators(scenario: str, N: int, d: int, labels: Sequence[int]) -> tupl
     xk = x.astype(np.int32)[block]
     k = np.arange(len(block), dtype=np.int32) + (first - ends + orders - 1).astype(np.int32)[block]
     if unknown:
-        log_s = (np.log(N - 2 * x + 1) + log_binom_d(x, 0) + log_binom_d(N - x)
+        log_s = (np.log(N - 2 * x + 1) + log_mult[x] + log_sym[N - x]
                  - np.log(N - x + 1) - math.log(N))
-        log_eta = log_s[block] - log_binom_d(N - k) - log_binom_d(k)
+        log_eta = log_s[block] - log_sym[N - k] - log_sym[k]
         log_r = log_binom(N - k, xk) - log_binom(k, xk)
         num, den = xk * (N + 1.0 - xk), (N - k - xk) * (k + 1.0 - xk)
     else:
-        log_eta = (log_binom_d(x, 0) - math.log(N))[block] - log_binom_d(k)
+        log_eta = (log_mult[x] - math.log(N))[block] - log_sym[k]
         log_r = -log_binom(k, xk)
         num, den = xk, k + 1 - xk
     with np.errstate(divide="ignore", invalid="ignore"):   # at block ends too; replaced below

@@ -6,33 +6,20 @@ The discrimination problem on one Gram block reads
     s.t.       E_k >= 0,  sum_k E_k = I,
 
 whose dual is  min tr(Y) s.t. Y >= rho_k := g_k g_k^T  for every column g_k
-of sqrtG.  The solver takes G itself, whose kept eigenpairs give those columns
-in its numerical range.
-
-One eigendecomposition of G, deflated once, serves every branch.
-Linearly independent states (G of full rank) are measured optimally by the
-square-root measurement of a reweighted ensemble (Mochon, PRA 73, 032328,
-2006), so a damped Newton iteration on the log-weights finds the optimum.  It
-starts at the SRM (weights 1, where W G W = G), whose eigenpairs are those of
-G, and takes one eigendecomposition of W G W per further step; the POVM is
-renormalised and the dual Y = sum_k rho_k E_k scaled until it is feasible,
-which makes the gap a true bound.
-
-Linearly dependent states follow the central path of the dual log-det
-barrier.  Each constraint is a rank-one downdate of Y, so Sherman-Morrison
-reduces the barrier Hessian to a Lyapunov operator plus a rank-n correction,
-solved per Newton step by one eigendecomposition plus a Woodbury system of
-order n.
-Primal matrices are recovered from the barrier optimality condition
-E_k = S_k^{-1}/t and renormalized so that sum_k E_k = I exactly.
-
-A solve that breaks down numerically raises `numpy.linalg.LinAlgError`
-instead of returning a solution.
+of sqrtG.  `solve_discrimination_sdp` takes any dense Gram: a Gram of rank at
+most one has a closed form, and every other one follows the central path of
+the dual log-det barrier, where Sherman-Morrison reduces each Newton system to
+a Lyapunov operator plus a Woodbury system of order n.  The edge-detection
+blocks of full rank are solved on the tridiagonal kernel instead
+(`qedge.discrimination`); `_reweighted_srm` builds their dense certificate.
+A solve that breaks down numerically raises `numpy.linalg.LinAlgError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -48,10 +35,6 @@ _FINAL_T_MARGIN = 1.25   # final barrier parameter 1.25*nu/gap_tol, so gap ~ 0.8
 _BARRIER_GROWTH = 25.0
 _RANK_TOL = 1e-12        # eigenvalues below _RANK_TOL * lambda_max count as zero
 _MAX_ITER = 200          # Newton steps per SDP solve, over all barrier parameters
-_STATIONARITY_TOL = 1e-13   # reweighting stops once max |F - mean F| is below this
-_STEP_TOL = 1e-15           # ... or once a step moves no log-weight by more than this
-_MIN_DAMPING = 2.0 ** -30   # ... or once backtracking finds no decrease above this damping
-_MAX_NEWTON = 100           # guard only: quadratic convergence takes about 10 steps
 
 
 class NotPsdError(ValueError):
@@ -98,12 +81,16 @@ def _check_gap_tol(gap_tol: float) -> None:
         raise ValueError(f"gap_tol must be positive and finite, got {gap_tol!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SdpSolution:
-    """Primal POVM, dual certificate, and diagnostics of one block solve."""
+    """Values, status and dense certificate of one block solve.
 
-    primal: list[np.ndarray] = field(repr=False)
-    dual: np.ndarray = field(repr=False)
+    ``view()`` builds the POVM [E_k] and the dual Y that ``primal`` and ``dual``
+    return.  Only the latest build of any solution is kept, so reading both builds
+    once and solutions held in bulk hold no dense matrix.  ``iterations`` counts
+    the reweighting's kernel passes or the barrier's Newton steps."""
+
+    view: Callable[[], tuple[list[np.ndarray], np.ndarray]] = field(repr=False)
     primal_value: float = 0.0
     dual_value: float = 0.0
     iterations: int = 0
@@ -114,159 +101,80 @@ class SdpSolution:
         """Duality gap tr Y - P, an upper bound on the distance to the optimum."""
         return self.dual_value - self.primal_value
 
+    @property
+    def primal(self) -> list[np.ndarray]:
+        return _certificate(self)[0]
+
+    @property
+    def dual(self) -> np.ndarray:
+        return _certificate(self)[1]
+
+
+@lru_cache(maxsize=1)
+def _certificate(sol: SdpSolution) -> tuple[list[np.ndarray], np.ndarray]:
+    return sol.view()
+
 
 def solve_discrimination_sdp(gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolution:
     """Optimal-discrimination SDP for the pure-state block with Gram matrix ``gram``.
 
-    Returns primal POVM matrices E_k (sum = identity), the dual certificate Y
-    with Y >= rho_k, and the duality gap.  One eigendecomposition of the Gram
-    gives its kept eigenpairs (w, V_r), deflated as in `psd_sqrt`; every
-    branch starts from them.  A block of rank at most one (identical states)
-    is solved exactly by always guessing the hypothesis of largest prior
-    (lowest index on ties): gap 0 and no Newton step.  Linearly independent states (full rank) are solved by Newton on the
-    weights of a reweighted square-root measurement (`_reweighted_srm`);
-    dependent states by the barrier method (`_barrier_solve`) on the states
-    b_k, the columns of (V_r sqrt(w))^T, with the identity remainder on the
-    null space assigned to the hypothesis of largest prior.  ``iterations``
-    counts Newton steps of either method.
-    Raises NotPsdError on an indefinite Gram, ValueError unless 0 < gap_tol < inf,
-    and numpy.linalg.LinAlgError when the solve breaks down numerically.
+    One eigendecomposition gives the kept eigenpairs (w, V_r), deflated as in
+    `psd_sqrt`.  Rank at most one (identical states): always guess the largest
+    prior (lowest index on ties), gap 0.  Otherwise the barrier method
+    (`_barrier_solve`) on the states b_k, the columns of (V_r sqrt(w))^T, with the
+    identity on the null space given to the largest prior.  Raises NotPsdError on
+    an indefinite Gram, ValueError unless 0 < gap_tol < inf, and
+    numpy.linalg.LinAlgError when the solve breaks down numerically.
     """
     _check_gap_tol(gap_tol)
-    g, w, vr = _kept_spectrum(gram)
+    _, w, vr = _kept_spectrum(gram)
     n = vr.shape[0]
     b = (vr * np.sqrt(w)).T                # r x n, columns b_k
-
+    priors = (b * b).sum(axis=0)
+    # the largest prior, the lowest index among priors equal to 12 digits
+    k_star = int(np.argmax(np.round(priors / max(priors.max(), 1e-300), 12)))
     if w.size <= 1:
-        return _rank_one_solution(b, vr)
-    if w.size == n:
-        return _reweighted_srm(g, w, vr, gap_tol)
+        primal = [np.zeros((n, n)) for _ in range(n)]
+        primal[k_star] = np.eye(n)
+        value = float(priors[k_star])
+        dual = value * vr @ vr.T
+        return SdpSolution(view=lambda: (primal, dual), primal_value=value, dual_value=value)
 
     y_hat, es_hat, iters, centered = _barrier_solve(b, gap_tol)
     # lift to the original coordinates; null-space remainder goes to k_star
-    null_proj = np.eye(n) - vr @ vr.T
     primal = [vr @ e @ vr.T for e in es_hat]
-    k_star = _largest_prior((b * b).sum(axis=0))
-    primal[k_star] = primal[k_star] + null_proj
-    dual = vr @ y_hat @ vr.T
+    primal[k_star] = primal[k_star] + np.eye(n) - vr @ vr.T
     primal_value = float(sum(b[:, k] @ es_hat[k] @ b[:, k] for k in range(n)))
     dual_value = float(np.trace(y_hat))
     status = "converged" if centered and dual_value - primal_value <= gap_tol else "maxIterations"
-    return SdpSolution(primal=primal, dual=dual, primal_value=primal_value,
+    dual = vr @ y_hat @ vr.T
+    return SdpSolution(view=lambda: (primal, dual), primal_value=primal_value,
                        dual_value=dual_value, iterations=iters, status=status)
 
 
-def _largest_prior(priors: np.ndarray) -> int:
-    """Index of the largest prior, the lowest index among priors equal to 12 digits."""
-    return int(np.argmax(np.round(priors / max(priors.max(), 1e-300), 12)))
+def _reweighted_srm(gram: np.ndarray, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Dense POVM [E_k] and dual Y of the SRM of the states with Gram G, reweighted by e^x.
 
-
-def _weighted_root(g: np.ndarray, x: np.ndarray):
-    """`_root_state` of M = W G W with W = diag(e^x)."""
-    wx = np.exp(x)
-    return _root_state(x, *np.linalg.eigh(wx[:, None] * g * wx[None, :]))
-
-
-def _root_state(x: np.ndarray, lam: np.ndarray, u: np.ndarray):
-    """Eigenpairs (lam, U) of M, the diagonal of S = M^{1/2}, and the stationarity
-    residual F - mean F, F_k = log S_kk - 2 x_k.  None when M is not numerically
-    positive definite."""
-    if lam[0] <= 0.0:
-        return None
-    root_diag = (u * u) @ np.sqrt(lam)
-    f = np.log(root_diag) - 2.0 * x
-    return lam, u, root_diag, f - f.mean()
-
-
-def _newton_step(x: np.ndarray, lam: np.ndarray, u: np.ndarray, root_diag: np.ndarray,
-                 resid: np.ndarray) -> np.ndarray:
-    """Newton step on F(x) - c = 0 bordered with the gauge sum(x) = 0.
-
-    dS_kk/dx_j = sum_pq U_kp U_kq U_jp U_jq (lam_p + lam_q) / (sqrt lam_p + sqrt lam_q)
-    (Daleckii-Krein), evaluated as the row sums of (P H) * P with P[kj, p] = U_kp U_jp.
+    The SRM of the Gram M = W G W measures the columns m_k of s W M^{-1/2}
+    (s = sqrt G, columns the states), renormalised by (sum m m^T)^{-1/2} so that
+    sum E_k = I to rounding.  Y = sum rho_k E_k, symmetrised, is scaled by
+    q = max(1, max_k s_k^T Y^{-1} s_k), which makes Y >= rho_k and tr Y - P = (q - 1) P.
     """
-    n = x.size
-    rl = np.sqrt(lam)
-    h = (lam[:, None] + lam[None, :]) / (rl[:, None] + rl[None, :])
-    pairs = (u[:, None, :] * u[None, :, :]).reshape(n * n, n)
-    jac = ((pairs @ h) * pairs).sum(axis=1).reshape(n, n) / root_diag[:, None]
-    border = np.zeros((n + 1, n + 1))
-    border[:n, :n] = jac - 2.0 * np.eye(n)
-    border[:n, n] = -1.0
-    border[n, :n] = 1.0
-    rhs = np.append(-resid, -x.sum())
-    return np.linalg.solve(border, rhs)[:n]
-
-
-def _reweighted_srm(g: np.ndarray, w: np.ndarray, v: np.ndarray, gap_tol: float) -> SdpSolution:
-    """Optimal POVM for linearly independent states: the SRM of a reweighted ensemble.
-
-    For states with Gram G and weights w = e^x, the SRM of the ensemble with
-    Gram M = W G W measures the vectors m_k, columns of s W M^{-1/2} (s = sqrt G,
-    columns the states), and succeeds with sum_k (S_kk / w_k)^2, S = M^{1/2}.
-    It is optimal exactly when S_kk / w_k^2 is the same for every k (Mochon,
-    PRA 73, 032328, 2006).  A damped Newton iteration from the SRM (x = 0,
-    where M = G and (w, v) are its eigenpairs) drives max |F - mean F| down
-    until it is below _STATIONARITY_TOL, the backtracking finds no decrease,
-    or the step is below _STEP_TOL.
-
-    The certificate is built from the final state: the m_k renormalised by
-    (sum m m^T)^{-1/2}, so that sum E_k = I to rounding; Y = sum rho_k E_k
-    symmetrised and scaled by q = max(1, max_k s_k^T Y^{-1} s_k), which makes
-    Y >= rho_k; and the gap tr Y - P = (q - 1) P >= 0, an upper bound on the
-    distance to the optimum.
-    """
+    g, w, v = _kept_spectrum(gram)
     s = _root(w, v)
-    x = np.zeros(g.shape[0])
-    state = _root_state(x, w, v)
-    resid_max = float(np.abs(state[3]).max())
-    steps = 0
-    while resid_max > _STATIONARITY_TOL and steps < _MAX_NEWTON:
-        dx = _newton_step(x, *state)
-        alpha = 1.0
-        while alpha >= _MIN_DAMPING:
-            trial = _weighted_root(g, x + alpha * dx)
-            if trial is not None:
-                trial_max = float(np.abs(trial[3]).max())
-                if trial_max <= (1.0 - 1e-4 * alpha) * resid_max:
-                    break
-            alpha *= 0.5
-        else:
-            break                          # no decrease along the step: stalled
-        x = x + alpha * dx
-        state, resid_max = trial, trial_max
-        steps += 1
-        if alpha * np.abs(dx).max() <= _STEP_TOL:
-            break
-
-    lam, u = state[0], state[1]
-    meas = (s * np.exp(x)) @ (u / np.sqrt(lam)) @ u.T
+    wx = np.exp(x)
+    lam, u = np.linalg.eigh(wx[:, None] * g * wx[None, :])
+    if w.size < g.shape[0] or lam[0] <= 0.0:
+        raise np.linalg.LinAlgError("the reweighted Gram is not numerically positive definite")
+    meas = (s * wx) @ (u / np.sqrt(lam)) @ u.T
     t_lam, t_vec = np.linalg.eigh(meas @ meas.T)
     meas = (t_vec / np.sqrt(t_lam)) @ t_vec.T @ meas
-    primal = [np.outer(m, m) for m in meas.T]
     overlap = (s * meas).sum(axis=0)       # s_k . m_k
     y = (s * overlap) @ meas.T
     y = 0.5 * (y + y.T)
-    primal_value = float(np.trace(y))
     z = solve_triangular(cholesky(y, lower=True), s, lower=True)
     scale = max(1.0, float((z * z).sum(axis=0).max()))
-    dual_value = scale * primal_value
-    status = "converged" if dual_value - primal_value <= gap_tol else "gapExceeded"
-    return SdpSolution(primal=primal, dual=scale * y, primal_value=primal_value,
-                       dual_value=dual_value, iterations=steps, status=status)
-
-
-def _rank_one_solution(b: np.ndarray, vr: np.ndarray) -> SdpSolution:
-    """Identical-states block: optimum is the largest prior, achieved by always guessing k*."""
-    n = vr.shape[0]
-    diag_g = (b * b).sum(axis=0)
-    k_star = _largest_prior(diag_g)
-    val = float(diag_g[k_star])
-    primal = [np.zeros((n, n)) for _ in range(n)]
-    primal[k_star] = np.eye(n)
-    dual = val * vr @ vr.T
-    return SdpSolution(primal=primal, dual=dual, primal_value=val, dual_value=val,
-                       iterations=0, status="converged")
+    return [np.outer(m, m) for m in meas.T], scale * y
 
 
 def _barrier_phi(y: np.ndarray, b: np.ndarray, t: float, n: int):
@@ -322,10 +230,8 @@ def _barrier_solve(b: np.ndarray, gap_tol: float):
             f = (z * rmat).reshape(n, -1)
             kmat = zf @ f.T + np.diag(1.0 / (c * c))
             beta = zf @ lyap_c.reshape(-1)
-            try:
-                alpha = np.linalg.solve(kmat, beta)
-            except np.linalg.LinAlgError:
-                alpha = np.linalg.lstsq(kmat, beta, rcond=None)[0]
+            # K = Z (Z o R)^T + diag(1/c^2) is symmetric positive definite
+            alpha = np.linalg.solve(kmat, beta)
             delta_rot = (ct - np.einsum("k,kij->ij", alpha, z)) * rmat
             d_hat = qrot @ delta_rot @ qrot.T
             d_hat = 0.5 * (d_hat + d_hat.T)

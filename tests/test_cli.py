@@ -109,15 +109,13 @@ def test_curve_row_status_follows_block_certificates(monkeypatch, capsys):
 
     # one block certificate that did not converge (unknown N = 4, lam = 1,
     # order 3) marks its row and the exit code
-    solve = discrimination.solve_discrimination_sdp
+    solve = discrimination._optimal_solutions
 
-    def cap_order_three(gram, gap_tol):
-        sol = solve(gram, gap_tol)
-        if gram.shape[0] == 3:
-            sol = dataclasses.replace(sol, status="maxIterations", iterations=200)
-        return sol
+    def cap_order_three(orders, *args):
+        return [dataclasses.replace(sol, status="maxIterations", iterations=200) if order == 3 else sol
+                for order, sol in zip(orders, solve(orders, *args))]
 
-    monkeypatch.setattr(discrimination, "solve_discrimination_sdp", cap_order_three)
+    monkeypatch.setattr(discrimination, "_optimal_solutions", cap_order_three)
     assert main(["curve", "--method", "sdp", "--n", "2,4", "--format", "json"]) == 2
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [(r["N"], r["status"]) for r in rows] == [(2, "ok"), (4, "maxIterations")]

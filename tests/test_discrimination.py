@@ -16,6 +16,7 @@ from qedge import (
     total_success,
 )
 from qedge import discrimination
+from qedge.linalg import psd_sqrt
 
 
 def helstrom_two_mixed(eta1, rho1, eta2, rho2):
@@ -100,11 +101,12 @@ def test_sdp_at_least_srm_per_block():
 
 
 def test_optimal_at_least_srm_on_known_blocks():
-    # no SRM floor guards optimal_block; the SRM is feasible, so the optimum is above it
+    # no SRM floor guards the optimal values; the SRM is feasible, so the optimum is above it
     for n in range(2, 41):
-        for label, g in scenario_blocks("known", StringParams(n, 2)):
-            val, _ = optimal_block(g)
-            assert val >= srm_block(g) - 1e-12, (n, label)
+        sdp = total_success(ScenarioSpec("known", StringParams(n, 2), "sdp")).per_block
+        srm = total_success(ScenarioSpec("known", StringParams(n, 2), "srm")).per_block
+        for label, val in sdp.items():
+            assert val >= srm[label] - 1e-12, (n, label)
 
 
 def test_known_block_left_at_barrier_cap_converges():
@@ -203,16 +205,51 @@ def test_total_success_rejects_gap_tol_before_any_block(monkeypatch):
 
 
 def test_failed_block_solve_raises_and_marks_its_row(monkeypatch):
-    from qedge import linalg
-
-    def broken(*args, **kwargs):
-        raise np.linalg.LinAlgError("forced")
-
-    monkeypatch.setattr(linalg, "cholesky", broken)
+    # the reweighting guard: a block still moving after the last kernel pass
+    monkeypatch.setattr(discrimination, "_MAX_PASSES", 1)
     g = build_gram_unknown(4, 2, 1)
     assert not g.rank_one
-    with pytest.raises(RuntimeError, match=r"SDP failed on block .*lam=1.*forced"):
+    with pytest.raises(RuntimeError, match=r"SDP failed on block .*lam=1.*did not converge in 1 kernel"):
         optimal_block(g)
     (row,) = success_curve("unknown", 2, [4], "sdp")
     assert row.status == "error:RuntimeError"
     assert math.isnan(row.p_success)
+
+
+@pytest.mark.parametrize("scenario, d, n", [("known", 8, 48), ("known", 10, 64), ("unknown", 20, 64)])
+def test_moderate_d_optimal_totals_converge(scenario, d, n):
+    # the dense reweighting Newton raised here: the Cholesky factor of its dual did not exist
+    (row,) = success_curve(scenario, d, [n], "sdp")
+    (srm,) = success_curve(scenario, d, [n], "srm")
+    assert row.status == "ok" and 0.0 <= row.gap <= 1e-8
+    assert row.p_success >= srm.p_success - 1e-12
+
+
+def test_optimal_gaps_close_to_rounding():
+    for scenario, n in [("unknown", 54), ("known", 40)]:
+        res = total_success(ScenarioSpec(scenario, StringParams(n, 2), "sdp"))
+        assert all(0.0 <= sol.gap <= 1e-12 for sol in res.certificates.values())
+
+
+def test_dense_certificate_built_on_read(monkeypatch):
+    built = []
+    build = discrimination._reweighted_srm
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(discrimination, "_reweighted_srm", counted)
+    res = total_success(ScenarioSpec("known", StringParams(12, 2), "sdp"))
+    assert built == []
+    label = 4
+    sol = res.certificates[label]
+    primal, dual = sol.primal, sol.dual
+    assert len(built) == 1   # one build serves both
+    g = build_gram_known(12, 2, 12 - label)
+    root = psd_sqrt(g.dense)   # its columns are the states
+    value = sum(root[:, k] @ e @ root[:, k] for k, e in enumerate(primal))
+    assert np.abs(sum(primal) - np.eye(g.order)).max() <= 1e-13
+    assert value == pytest.approx(sol.primal_value, rel=1e-13)
+    assert np.trace(dual) == pytest.approx(sol.dual_value, rel=1e-13)
+    assert all(np.linalg.eigvalsh(dual - np.outer(c, c)).min() >= -1e-15 for c in root.T)

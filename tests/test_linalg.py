@@ -5,10 +5,14 @@ import pytest
 
 from qedge import (
     NotPsdError,
+    ScenarioSpec,
+    StringParams,
     build_gram_known,
     build_gram_unknown,
+    optimal_block,
     psd_sqrt,
     solve_discrimination_sdp,
+    total_success,
 )
 from qedge import linalg
 
@@ -157,10 +161,10 @@ def _barrier_value(g, gap_tol):
 ], ids=lambda g: str(g.block))
 def test_reweighted_srm_matches_barrier(gram):
     gap_tol = 1e-8
-    sol = solve_discrimination_sdp(gram.dense, gap_tol)
+    value, sol = optimal_block(gram, gap_tol)
     barrier = _barrier_value(gram.dense, gap_tol)
     assert sol.status == "converged" and sol.iterations > 0
-    assert barrier - 1e-12 <= sol.primal_value <= barrier + gap_tol
+    assert barrier - 1e-12 <= value <= barrier + gap_tol
 
 
 def _count_barrier_solves(monkeypatch):
@@ -176,9 +180,11 @@ def _count_barrier_solves(monkeypatch):
 
 
 def test_independent_states_skip_the_barrier(monkeypatch):
+    # edge-detection blocks never reach it: rank one takes the closed form, the rest the kernel
     calls = _count_barrier_solves(monkeypatch)
-    g = random_psd(np.random.default_rng(29), 6)
-    assert solve_discrimination_sdp(g / np.trace(g)).status == "converged"
+    for scenario, d in [("unknown", 2), ("known", 2), ("known", 3)]:
+        res = total_success(ScenarioSpec(scenario, StringParams(12, d), "sdp"))
+        assert all(sol.status == "converged" for sol in res.certificates.values())
     assert calls == []
 
 
@@ -213,9 +219,10 @@ def test_failed_cholesky_raises(monkeypatch):
         raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(linalg, "cholesky", broken)
-    g = random_psd(np.random.default_rng(41), 5)
+    value, sol = optimal_block(build_gram_known(10, 2, 7))
+    assert sol.status == "converged"   # the values and the status need no dense algebra
     with pytest.raises(np.linalg.LinAlgError, match="forced"):
-        solve_discrimination_sdp(g / np.trace(g))
+        sol.dual   # the dense certificate, built on first read
 
 
 def test_full_rank_gram_is_decomposed_once(monkeypatch):

@@ -36,9 +36,9 @@ def labels(scenario, n):
     return range(n // 2 + 1) if scenario == "unknown" else range(n + 1)
 
 
-def mp_srm(scenario, n, d, label):
-    """SRM value from the closed-form block in 40-digit arithmetic: dense eigendecomposition."""
-    with mpmath.workdps(40):
+def mp_srm(scenario, n, d, label, dps=40):
+    """SRM value from the closed-form block in dps-digit arithmetic: dense eigendecomposition."""
+    with mpmath.workdps(dps):
         binom = mpmath.binomial
         if scenario == "unknown":
             lam = label
@@ -72,6 +72,21 @@ def test_srm_block_matches_40_digit_reference(scenario, d):
         ref = mp_srm(scenario, n, d, label)
         val = srm_block(gram(scenario, n, d, label))
         assert abs(val - ref) <= 1e-12 * ref, (n, label, val, ref)
+
+
+@pytest.mark.parametrize("scenario", ["unknown", "known"])
+def test_srm_blocks_at_large_d_match_mpmath(scenario):
+    # d = 2e5: log-binomials taken as differences of log-factorials near log (N+d)!
+    # put every block of N = 10 off by 7.9e-10 relative
+    for label in labels(scenario, 10):
+        ref = mp_srm(scenario, 10, 200_000, label, dps=120)
+        val = srm_block(gram(scenario, 10, 200_000, label))
+        assert abs(val - ref) <= 1e-12 * ref, (label, val, ref)
+
+
+def test_known_total_at_huge_d_stays_below_one():
+    # known N = 3, d = 1e9: the log-factorial differences gave 1.0000013
+    assert total_success(ScenarioSpec("known", StringParams(3, 10**9), "srm")).total <= 1.0
 
 
 def tridiagonal(diag, off):
@@ -146,10 +161,8 @@ def test_srm_total_builds_no_block(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, refuse)
     for scenario in ("unknown", "known"):
-        assert 0 < total_success(ScenarioSpec(scenario, StringParams(12, 2), "srm")).total < 1
-    with pytest.raises(Built):   # the SDP totals still build their blocks
-        for scenario in ("unknown", "known"):
-            total_success(ScenarioSpec(scenario, StringParams(12, 2), "sdp"))
+        for method in ("srm", "sdp"):
+            assert 0 < total_success(ScenarioSpec(scenario, StringParams(12, 2), method)).total < 1
 
 
 def test_dense_refuses_generators_outside_float_range():

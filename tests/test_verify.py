@@ -38,7 +38,8 @@ def test_holevo_catches_one_shrunk_dual(monkeypatch):
         res = total_success(spec)
         if spec.params.N == 12:
             sol = res.certificates[3]
-            res.certificates[3] = dataclasses.replace(sol, dual=0.999 * sol.dual)
+            primal, dual = sol.primal, sol.dual
+            res.certificates[3] = dataclasses.replace(sol, view=lambda: (primal, 0.999 * dual))
         return res
 
     monkeypatch.setattr(verify, "total_success", corrupted)
