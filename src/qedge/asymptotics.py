@@ -7,7 +7,7 @@ of that series (directly, or of its term-wise primitive) produces the
 limiting success probability p0(d); the same limit follows independently from
 the known-states change-point average, an integral of the squared complete
 elliptic integral against the qudit overlap measure.  The N >> d >> 1 regime
-is governed by Dawson's integral.
+is governed by Dawson's integral.  Both limit integrals are Gauss rules on node arrays.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import dawsn, ellipk, ellipkm1
 
 from .gram import build_gram_unknown
@@ -58,7 +58,7 @@ class NotTabulatedError(ValueError):
 
 
 class DegeneratePadeError(ArithmeticError):
-    """The Pade matching system is singular at the requested order."""
+    """The Pade matching system is singular, or the approximant's integral does not converge."""
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,10 @@ class PadeApproximant:
     denom: tuple[Fraction, ...]
     defects: tuple[float, ...] = ()
 
-    def __call__(self, z: float) -> float:
-        num = 0.0
-        for a in reversed(self.numer):
-            num = num * z + float(a)
-        den = 0.0
-        for b in reversed((Fraction(1), *self.denom)):
-            den = den * z + float(b)
+    def __call__(self, z):
+        """Value at z, a float or an array, by Horner's rule in float64."""
+        num = np.polyval([float(a) for a in reversed(self.numer)], z)
+        den = np.polyval([float(b) for b in reversed((Fraction(1), *self.denom))], z)
         return num / den
 
     def expansion(self, upto: int) -> list[Fraction]:
@@ -265,11 +262,33 @@ def p0_via_integral(d: int) -> LimitEstimate:
     table = coefficient_table(d)
     orders = [(s, s) for s in range(len(table) // 2, 0, -1)]
     accepted = _accepted(table.series_in_z(), orders, f"d={d} diagonal")
-    vals = [
-        quad(lambda x, a=a: a(x * x), 0.0, 1.0, epsabs=1e-10, epsrel=1e-12, limit=200)[0]
-        for a in accepted
-    ]
+    vals = [_integral_01(lambda x, a=a: a(x * x)) for a in accepted]
     return LimitEstimate(value=vals[0], error=_spread(vals), order=accepted[0].order)
+
+
+def _integral_01(f) -> float:
+    """Integral over [0, 1] of f, which takes the node array, on Gauss-Legendre rules
+    of 64, 128, 256 and 512 nodes: the first sum within 1e-13 relative of the one
+    before.  A pole just past x = 1 slows the rules down (d = 2 needs 256 nodes);
+    raises DegeneratePadeError if no two successive sums agree."""
+    prev = None
+    for n in (64, 128, 256, 512):
+        t, w = _gauss_rule(np.polynomial.legendre.leggauss, n)
+        val = 0.5 * float(w @ f(0.5 * (t + 1.0)))
+        if prev is not None and abs(val - prev) <= 1e-13 * abs(val):
+            return val
+        prev = val
+    raise DegeneratePadeError("Pade integral did not converge on 512 Gauss-Legendre nodes")
+
+
+@lru_cache(maxsize=8)
+def _gauss_rule(rule, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of numpy's n-node Gauss ``rule`` (leggauss or
+    laggauss), built once each: a build is an eigensolve of order n, 13 ms at n = 256."""
+    x, w = rule(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def p0_via_primitive(d: int) -> LimitEstimate:
@@ -294,29 +313,27 @@ def elliptic_k(m: float) -> float:
     return float(ellipk(m))
 
 
-def _elliptic_k_from_complement(mc: float) -> float:
-    """K(1 - mc) from the complementary parameter, stable for tiny mc > 0."""
-    return float(ellipkm1(mc))
+def _elliptic_k_from_complement(mc: np.ndarray) -> np.ndarray:
+    """K(1 - mc) elementwise, stable for tiny mc > 0; perfbench's tracer spans it."""
+    return ellipkm1(mc)
 
 
 def p0_known(d: int) -> float:
     """Average limiting success probability when both domain states are known.
 
     Integral over t = c^2 of 4(1-t)/pi^2 K(t)^2 (d-1)(1-t)^(d-2); substituting
-    t = 1 - exp(-s) removes the squared-log endpoint singularity at t = 1.
+    t = 1 - exp(-s) removes the squared-log endpoint singularity at t = 1 and
+    leaves 4(d-1)/pi^2 K(1 - e^-s)^2 against the weight e^(-ds), whose peak has
+    width 1/d.  A Gauss-Laguerre rule in u = ds follows that peak for every d.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    prefactor = 4.0 * (d - 1) / math.pi**2
-
-    def integrand(s: float) -> float:
-        # complement exp(-s) is exact where 1 - exp(-s) would round to 1
-        k = _elliptic_k_from_complement(math.exp(-s))
-        return prefactor * k * k * math.exp(-d * s)
-
-    upper = 60.0
-    val = quad(integrand, 0.0, upper, epsabs=1e-12, epsrel=1e-12, limit=300)[0]
-    return val
+    # numpy's Laguerre rules lose accuracy as n grows: against a 30-digit reference,
+    # 16 nodes are within 5.2e-16 relative for d = 2..10^6, 64 nodes 1.2e-14 off at d = 2.
+    u, w = _gauss_rule(np.polynomial.laguerre.laggauss, 16)
+    # complement exp(-s) is exact where 1 - exp(-s) would round to 1
+    k = _elliptic_k_from_complement(np.exp(-u / d))
+    return 4.0 * (d - 1) / (math.pi**2 * d) * float(w @ (k * k))
 
 
 def dawson(y: float) -> float:

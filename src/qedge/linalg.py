@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from numpy.linalg import cholesky
 
 __all__ = [
     "NotPsdError",
@@ -134,11 +134,15 @@ def solve_discrimination_sdp(gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolu
     # the largest prior, the lowest index among priors equal to 12 digits
     k_star = int(np.argmax(np.round(priors / max(priors.max(), 1e-300), 12)))
     if w.size <= 1:
-        primal = [np.zeros((n, n)) for _ in range(n)]
-        primal[k_star] = np.eye(n)
         value = float(priors[k_star])
-        dual = value * vr @ vr.T
-        return SdpSolution(view=lambda: (primal, dual), primal_value=value, dual_value=value)
+
+        def view() -> tuple[list[np.ndarray], np.ndarray]:
+            # n matrices of order n: built on read, never held by the solution
+            primal = [np.zeros((n, n)) for _ in range(n)]
+            primal[k_star] = np.eye(n)
+            return primal, value * vr @ vr.T
+
+        return SdpSolution(view=view, primal_value=value, dual_value=value)
 
     y_hat, es_hat, iters, centered = _barrier_solve(b, gap_tol)
     # lift to the original coordinates; null-space remainder goes to k_star
@@ -172,7 +176,7 @@ def _reweighted_srm(gram: np.ndarray, x: np.ndarray) -> tuple[list[np.ndarray], 
     overlap = (s * meas).sum(axis=0)       # s_k . m_k
     y = (s * overlap) @ meas.T
     y = 0.5 * (y + y.T)
-    z = solve_triangular(cholesky(y, lower=True), s, lower=True)
+    z = np.linalg.solve(cholesky(y), s)
     scale = max(1.0, float((z * z).sum(axis=0).max()))
     return [np.outer(m, m) for m in meas.T], scale * y
 
@@ -180,10 +184,10 @@ def _reweighted_srm(gram: np.ndarray, x: np.ndarray) -> tuple[list[np.ndarray], 
 def _barrier_phi(y: np.ndarray, b: np.ndarray, t: float, n: int):
     """Barrier value t*tr(Y) - n*logdet(Y) - sum_k log(1 - q_k), or None if infeasible."""
     try:
-        low = cholesky(y, lower=True)
+        low = cholesky(y)
     except np.linalg.LinAlgError:
         return None
-    gh = solve_triangular(low, b, lower=True)
+    gh = np.linalg.solve(low, b)
     q = (gh * gh).sum(axis=0)
     if q.max() >= 1.0:
         return None
@@ -274,7 +278,7 @@ def _barrier_solve(b: np.ndarray, gap_tol: float):
         raise np.linalg.LinAlgError("barrier iterate left the feasible set")
     _, low, gh, q = state
     c = 1.0 / (1.0 - q)
-    linv = solve_triangular(low, np.eye(r), lower=True)
+    linv = np.linalg.inv(low)
     y_inv = linv.T @ linv
     h = y_inv @ b                               # r x n, columns h_k
     es = [(y_inv + c[k] * np.outer(h[:, k], h[:, k])) / t for k in range(n)]

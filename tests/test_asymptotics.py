@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipkm1
 
+from qedge import asymptotics
 from qedge import (
     DegeneratePadeError,
     NotTabulatedError,
@@ -99,6 +101,27 @@ def test_p0_integral_routes():
     assert est4.value == pytest.approx(0.852860, abs=1e-6)
     est8 = p0_via_integral(8)
     assert est8.value == pytest.approx(0.9323011, abs=2e-7)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_gauss_rules_match_adaptive_quadrature(d):
+    # oracle: scipy's adaptive quadrature of the same integrands, scalar by scalar
+    table = coefficient_table(d)
+    orders = [(s, s) for s in range(len(table) // 2, 0, -1)]
+    approx = asymptotics._accepted(table.series_in_z(), orders, "oracle")[0]
+    integral = quad(lambda x: approx(x * x), 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    assert p0_via_integral(d).value == pytest.approx(integral, rel=1e-12)
+    known = 4.0 * (d - 1) / math.pi**2 * quad(
+        lambda s: float(ellipkm1(math.exp(-s))) ** 2 * math.exp(-d * s), 0.0, 60.0,
+        epsabs=1e-14, epsrel=1e-13, limit=300)[0]
+    assert p0_known(d) == pytest.approx(known, rel=1e-12)
+
+
+def test_unconverged_gauss_integral_raises():
+    # a pole 1e-7 past x = 1: no two successive Gauss-Legendre sums agree by 512 nodes
+    with pytest.raises(DegeneratePadeError, match="did not converge"):
+        asymptotics._integral_01(lambda x: 1.0 / (1.0 + 1e-7 - x))
+    assert asymptotics._integral_01(lambda x: 3.0 * x * x) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_p0_primitive_route():
@@ -216,6 +239,12 @@ def test_large_d_limit():
     assert abs(p0_known(128) - large_d_limit(128)) <= 1e-3
     # expansion is not valid at small d
     assert abs(large_d_limit(2) - p0_known(2)) > 0.05
+
+
+@pytest.mark.parametrize("d", [128, 504, 1000, 10**4, 10**6])
+def test_p0_known_follows_large_d_limit(d):
+    # the weight e^(-ds) peaks within 1/d of s = 0, where a fixed interval misses it
+    assert abs(p0_known(d) - large_d_limit(d)) <= 0.5 / d**2
 
 
 def test_estimator_brackets_tables():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,24 @@ def test_sdp_rank_one_gram_returns_max_prior():
     assert sol.primal_value == pytest.approx(0.5, abs=1e-12)
     assert sol.gap == 0.0
     assert np.allclose(sum(sol.primal), np.eye(3))
+
+
+def test_rank_one_povm_built_on_read():
+    # order 256: the n zero POVM elements would hold 128 MB if built with the solution
+    g = np.ones((256, 256)) / 256.0
+    tracemalloc.start()
+    try:
+        sol = solve_discrimination_sdp(g)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+    assert sol.primal_value == pytest.approx(1.0 / 256.0, rel=1e-12)
+    primal = sol.primal
+    assert len(primal) == 256
+    assert np.array_equal(primal[0], np.eye(256))
+    assert all(not e.any() for e in primal[1:])
+    assert np.allclose(sol.dual, g / 256.0, rtol=0.0, atol=1e-15)
 
 
 def test_sdp_certificates_random_grams():
