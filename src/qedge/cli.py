@@ -148,7 +148,7 @@ def _cmd_curve(args) -> int:
         for row in rows:
             print(
                 f"# N={row.N} p={row.p_success:.12g} gap={row.gap:.3g} "
-                f"newton_iters={row.iterations} {row.status}",
+                f"passes={row.iterations} {row.status}",
                 file=sys.stderr,
             )
     if args.fmt == "csv":

@@ -23,7 +23,7 @@ from scipy.special import ellipj, ellipkm1
 from .combinatorics import CapacityError, StringParams
 from .gram import (SemiseparableGram, build_gram_known, build_gram_unknown, dense_gram,
                    log_bidiagonal_squares, log_generators)
-from .linalg import SdpSolution, _check_gap_tol, _reweighted_srm, solve_discrimination_sdp
+from .linalg import SdpSolution, _check_gap_tol, _rank_one_solution, _reweighted_srm
 
 __all__ = [
     "CurvePoint",
@@ -276,8 +276,8 @@ def srm_block(g: SemiseparableGram) -> float:
 
 # Reweighting stops once a block's log(S_kk / w_k^2) spread by at most _SPREAD_TOL.  About
 # 25 kernel passes suffice up to the SDP cap; _MAX_PASSES is a guard.  An Anderson step
-# combines the last _ANDERSON_DEPTH passes, dropping singular values below _PINV_RCOND.
-_SPREAD_TOL, _MAX_PASSES, _ANDERSON_DEPTH, _PINV_RCOND = 1e-13, 100, 5, 1e-10
+# combines the last _ANDERSON_DEPTH passes by normal equations cut at relative _PINV_RCOND.
+_SPREAD_TOL, _MAX_PASSES, _ANDERSON_DEPTH, _PINV_RCOND = 1e-13, 100, 5, 1e-16
 
 
 def _optimal_solutions(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray,
@@ -285,69 +285,65 @@ def _optimal_solutions(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarra
                        gap_tol: float) -> list[SdpSolution]:
     """Optimal-discrimination solution of each block laid end to end (`log_generators`).
 
-    Rank-one blocks take `solve_discrimination_sdp`'s closed form.  For the others
-    the SRM of M = W G W, W = diag(e^x), is optimal once q_k = S_kk / w_k^2
+    A rank-one block, G = a a^T with a = sqrt(eta), takes `_rank_one_solution`.  For
+    the others the SRM of M = W G W, W = diag(e^x), is optimal once q_k = S_kk / w_k^2
     (S = M^{1/2}) is the same for every k (Mochon, PRA 73, 032328, 2006).  M has the
-    generators (log eta + 2x, log r, log Delta), so a pass is one `_root_diagonals`
-    call over every block still moving, and x follows x + F - mean F, F = log q, from
-    x = 0 with Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 49, 1715,
-    2011).  The O(n) certificate: P = sum_k S_kk q_k, and Y = c S in the measurement
-    basis, c = max_k q_k, is dual feasible, so D = c sum_k S_kk >= P bounds the
-    optimum; both carry the kernel's relative error, below 1e-13.  Failures raise
-    RuntimeError naming the block."""
+    generators (log eta + 2x, log r, log Delta), so a pass is one `_root_diagonals` call
+    over the positions of the blocks still moving, and x, flat over them, follows
+    x + F - mean F, F = log q, from x = 0 with Anderson acceleration (Walker & Ni, SIAM
+    J. Numer. Anal. 49, 1715, 2011) solved by each block's normal equations.  The O(n)
+    certificate: P = sum_k S_kk q_k, and Y = c S in the measurement basis, c = max_k q_k,
+    is dual feasible, so D = c sum_k S_kk >= P bounds the optimum; both carry the
+    kernel's relative error, below 1e-13.  Failures raise RuntimeError naming the block."""
     ends = np.cumsum(orders) - 1
     starts = ends + 1 - orders
     rank_one = _rank_one(log_delta, starts, ends)
     solutions: list[Optional[SdpSolution]] = [None] * len(orders)
     for i in np.flatnonzero(rank_one):
-        try:
-            solutions[i] = solve_discrimination_sdp(dense_gram(
-                log_eta[starts[i]:ends[i] + 1], log_r[starts[i]:ends[i] + 1], describe(i)), gap_tol)
-        except (ValueError, np.linalg.LinAlgError) as exc:  # attach the block label
-            raise RuntimeError(f"SDP failed on block {describe(i)}: {exc}") from exc
-    full = np.flatnonzero(~rank_one)
-    n = orders[full]
-    inside = np.arange(n.max(initial=0)) < n[:, None]   # one row per block, padded
-    flat = np.where(inside, starts[full][:, None] + np.arange(inside.shape[1]), 0)
-    x = np.zeros(inside.shape)
-    active = np.arange(len(full))   # rows still moving
-    history: list[tuple[np.ndarray, np.ndarray]] = []   # (F - mean F, x + F - mean F) per pass
-    passes = 0
-    while active.size:
+        solutions[i] = _rank_one_solution(np.exp(0.5 * log_eta[starts[i]:ends[i] + 1]))
+    blocks = np.flatnonzero(~rank_one)   # moving blocks
+    n = orders[blocks]
+    at = np.flatnonzero(np.repeat(~rank_one, orders))   # their positions in the input
+    x = np.zeros(at.size)
+    history: list[tuple[np.ndarray, np.ndarray]] = []   # (F - mean F, x + F - mean F), last passes
+    passes, first = 0, np.cumsum(n) - n
+    while blocks.size:
         if passes == _MAX_PASSES:
-            raise RuntimeError(f"SDP failed on block {describe(full[active[0]])}: the reweighting "
+            raise RuntimeError(f"SDP failed on block {describe(blocks[0])}: the reweighting "
                                f"did not converge in {_MAX_PASSES} kernel passes")
-        mask, xa = inside[active], x[active]
-        at = flat[active][mask]
-        root = np.ones(mask.shape)
         try:
-            root[mask] = _root_diagonals(n[active], log_eta[at] + 2.0 * xa[mask], log_r[at],
-                                         log_delta[at], lambda j: describe(full[active[j]]))
+            root = _root_diagonals(n, log_eta[at] + 2.0 * x, log_r[at], log_delta[at],
+                                   lambda j: describe(blocks[j]))
         except ValueError as exc:
             raise RuntimeError(f"SDP failed: {exc}") from exc
-        log_q = np.log(root) - 2.0 * xa   # 0 past each block's end
-        q = np.where(mask, np.exp(log_q), 0.0)
-        spread = np.where(mask, log_q, -np.inf).max(axis=1) - np.where(mask, log_q, np.inf).min(axis=1)
-        done = spread <= _SPREAD_TOL
-        primal = np.sum(root * q, axis=1).tolist()
-        dual = np.sum(q.max(axis=1, keepdims=True) * root * mask, axis=1).tolist()   # termwise >= primal
-        for row in np.flatnonzero(done):
-            i = full[active[row]]
+        log_q = np.log(root) - 2.0 * x
+        q = np.exp(log_q)
+        done = np.maximum.reduceat(log_q, first) - np.minimum.reduceat(log_q, first) <= _SPREAD_TOL
+        primal = np.add.reduceat(root * q, first).tolist()
+        dual = np.add.reduceat(np.repeat(np.maximum.reduceat(q, first), n) * root,
+                               first).tolist()   # termwise >= primal
+        for j in np.flatnonzero(done):
+            i = blocks[j]
             block = slice(starts[i], ends[i] + 1)
             solutions[i] = SdpSolution(
-                partial(_dense_view, log_eta[block], log_r[block], xa[row, :orders[i]].copy(), describe(i)),
-                primal[row], dual[row], passes,
-                "converged" if dual[row] - primal[row] <= gap_tol else "gapExceeded")
-        active, mask, xa, log_q = active[~done], mask[~done], xa[~done], log_q[~done]
-        history = [(r[~done], s[~done]) for r, s in history[-_ANDERSON_DEPTH:]]
-        resid = np.where(mask, log_q - log_q.sum(axis=1, keepdims=True) / n[active, None], 0.0)
-        step = xa + resid
-        x[active] = step
+                partial(_dense_view, log_eta[block], log_r[block], x[first[j]:first[j] + n[j]].copy(),
+                        describe(i)),
+                primal[j], dual[j], passes,
+                "converged" if dual[j] - primal[j] <= gap_tol else "gapExceeded")
+        keep = np.repeat(~done, n)
+        blocks, n, at, x, log_q = blocks[~done], n[~done], at[keep], x[keep], log_q[keep]
+        history = [(r[keep], s[keep]) for r, s in history]
+        first = np.cumsum(n) - n
+        resid = log_q - np.repeat(np.add.reduceat(log_q, first) / n, n)
+        x = step = x + resid
         if history:
-            d_resid = np.stack([resid - r for r, _ in history], axis=-1)
-            d_step = np.stack([step - s for _, s in history], axis=-1)
-            x[active] -= (d_step @ (np.linalg.pinv(d_resid, rcond=_PINV_RCOND) @ resid[..., None]))[..., 0]
-        history.append((resid, step))
+            d_resid = resid - np.array([r for r, _ in history])   # (depth, positions)
+            d_step = step - np.array([s for _, s in history])
+            # each block's least squares min |resid - d_resid^T gamma| by its normal equations
+            dots = np.stack([np.add.reduceat(d_resid * row, first, axis=1) for row in (*d_resid, resid)])
+            gamma = np.linalg.pinv(dots[:-1].T, rcond=_PINV_RCOND) @ dots[-1].T[..., None]
+            x = step - np.einsum("jp,pj->p", d_step, np.repeat(gamma[..., 0], n, axis=0))
+        history = [*history, (resid, step)][-_ANDERSON_DEPTH:]
         passes += 1
     return solutions
 

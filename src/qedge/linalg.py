@@ -115,39 +115,42 @@ def _certificate(sol: SdpSolution) -> tuple[list[np.ndarray], np.ndarray]:
     return sol.view()
 
 
+def _rank_one_solution(a: np.ndarray) -> SdpSolution:
+    """Closed form for the Gram a a^T of rank at most one (identical states, priors a_k^2):
+    guess the largest prior, the lowest index among priors equal to 12 digits, so
+    E_{k*} = I and Y = value a a^T / |a|^2, with gap 0.  O(n) until the view is read."""
+    priors = a * a
+    k_star = int(np.argmax(np.round(priors / max(priors.max(), 1e-300), 12)))
+    value = float(priors[k_star])
+
+    def view() -> tuple[list[np.ndarray], np.ndarray]:
+        # n matrices of order n: built on read, never held by the solution
+        primal = [np.zeros((a.size, a.size)) for _ in a]
+        primal[k_star] = np.eye(a.size)
+        return primal, value / max(float(a @ a), 1e-300) * np.outer(a, a)
+
+    return SdpSolution(view=view, primal_value=value, dual_value=value)
+
+
 def solve_discrimination_sdp(gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolution:
     """Optimal-discrimination SDP for the pure-state block with Gram matrix ``gram``.
 
-    One eigendecomposition gives the kept eigenpairs (w, V_r), deflated as in
-    `psd_sqrt`.  Rank at most one (identical states): always guess the largest
-    prior (lowest index on ties), gap 0.  Otherwise the barrier method
-    (`_barrier_solve`) on the states b_k, the columns of (V_r sqrt(w))^T, with the
-    identity on the null space given to the largest prior.  Raises NotPsdError on
-    an indefinite Gram, ValueError unless 0 < gap_tol < inf, and
-    numpy.linalg.LinAlgError when the solve breaks down numerically.
+    One eigendecomposition gives the kept eigenpairs (w, V_r), deflated as in `psd_sqrt`.
+    Rank at most one: `_rank_one_solution`.  Otherwise the barrier method (`_barrier_solve`)
+    on the states b_k, the columns of (V_r sqrt(w))^T, with the identity on the null space
+    given to the largest prior.  Raises NotPsdError on an indefinite Gram, ValueError unless
+    0 < gap_tol < inf, and numpy.linalg.LinAlgError when the solve breaks down numerically.
     """
     _check_gap_tol(gap_tol)
     _, w, vr = _kept_spectrum(gram)
     n = vr.shape[0]
     b = (vr * np.sqrt(w)).T                # r x n, columns b_k
-    priors = (b * b).sum(axis=0)
-    # the largest prior, the lowest index among priors equal to 12 digits
-    k_star = int(np.argmax(np.round(priors / max(priors.max(), 1e-300), 12)))
     if w.size <= 1:
-        value = float(priors[k_star])
-
-        def view() -> tuple[list[np.ndarray], np.ndarray]:
-            # n matrices of order n: built on read, never held by the solution
-            primal = [np.zeros((n, n)) for _ in range(n)]
-            primal[k_star] = np.eye(n)
-            return primal, value * vr @ vr.T
-
-        return SdpSolution(view=view, primal_value=value, dual_value=value)
-
+        return _rank_one_solution(b[0] if w.size else np.zeros(n))
     y_hat, es_hat, iters, centered = _barrier_solve(b, gap_tol)
-    # lift to the original coordinates; null-space remainder goes to k_star
+    # back to the original basis; the null space, where no state lies, goes to the largest prior
     primal = [vr @ e @ vr.T for e in es_hat]
-    primal[k_star] = primal[k_star] + np.eye(n) - vr @ vr.T
+    primal[int(np.argmax((b * b).sum(axis=0)))] += np.eye(n) - vr @ vr.T
     primal_value = float(sum(b[:, k] @ es_hat[k] @ b[:, k] for k in range(n)))
     dual_value = float(np.trace(y_hat))
     status = "converged" if centered and dual_value - primal_value <= gap_tol else "maxIterations"

@@ -122,6 +122,17 @@ def test_curve_row_status_follows_block_certificates(monkeypatch, capsys):
     assert rows[1]["iterations"] == 200
 
 
+def test_curve_verbose_line(capsys):
+    assert main(["curve", "--method", "sdp", "--n", "2,4", "--verbose", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    row = json.loads(captured.out)["rows"][1]
+    assert row["iterations"] > 0   # N = 4 holds a reweighted block; N = 2 only rank-one blocks
+    assert captured.err.splitlines() == [
+        "# N=2 p=0.625 gap=0 passes=0 ok",
+        f"# N=4 p={row['p_success']:.12g} gap={row['gap']:.3g} passes={row['iterations']} ok",
+    ]
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["curve", "--d", "2", "--n", ""]) == 1
     assert main(["curve", "--d", "2", "--n", "oops"]) == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from qedge import (
     success_curve,
     total_success,
 )
-from qedge import discrimination
-from qedge.linalg import psd_sqrt
+from qedge import discrimination, gram
+from qedge.linalg import psd_sqrt, solve_discrimination_sdp
 
 
 def helstrom_two_mixed(eta1, rho1, eta2, rho2):
@@ -253,3 +254,53 @@ def test_dense_certificate_built_on_read(monkeypatch):
     assert value == pytest.approx(sol.primal_value, rel=1e-13)
     assert np.trace(dual) == pytest.approx(sol.dual_value, rel=1e-13)
     assert all(np.linalg.eigvalsh(dual - np.outer(c, c)).min() >= -1e-15 for c in root.T)
+
+
+def test_sdp_totals_build_no_dense_matrix(monkeypatch):
+    # each total holds a rank-one block; its values and its certificate come from log eta
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(gram, "dense_gram", refuse)
+    monkeypatch.setattr(discrimination, "dense_gram", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    cases = [("unknown", 12, 2, 0), ("known", 12, 2, 0), ("known", 8, 3, 8)]
+    solutions = [total_success(ScenarioSpec(scenario, StringParams(n, d), "sdp")).certificates[label]
+                 for scenario, n, d, label in cases]
+    duals = [sol.dual for sol in solutions]
+    monkeypatch.undo()
+    for (scenario, n, d, label), sol, dual in zip(cases, solutions, duals):
+        g = dict(scenario_blocks(scenario, StringParams(n, d)))[label]
+        assert g.rank_one and g.order > 1
+        top = np.linalg.eigh(g.dense)[1][:, -1]
+        assert np.abs(dual - sol.primal_value * np.outer(top, top)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 50])
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_rank_one_closed_form_matches_dense_solve(n, d):
+    def guess(sol):
+        return [k for k, e in enumerate(sol.primal) if e.any()]
+
+    for scenario in ("unknown", "known"):
+        for _, g in scenario_blocks(scenario, StringParams(n, d)):
+            if g.rank_one:
+                value, sol = optimal_block(g)
+                dense = solve_discrimination_sdp(g.dense)
+                assert value == pytest.approx(dense.primal_value, rel=1e-14)
+                k_star = guess(sol)
+                assert len(k_star) == 1 and guess(dense) == k_star
+                assert np.abs(sol.dual - dense.dual).max() <= 1e-15
+
+
+def test_sdp_total_traced_peak():
+    # the flat reweighting state peaks at 1.05 MB; padded to blocks x largest order, at 1.46 MB
+    spec = ScenarioSpec("known", StringParams(64, 2), "sdp")
+    total_success(spec)   # the kernel's rules are cached outside the traced call
+    tracemalloc.start()
+    try:
+        total_success(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2 ** 20
