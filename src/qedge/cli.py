@@ -17,6 +17,8 @@ import os
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import __version__, verify
 from .asymptotics import (
     DegeneratePadeError,
@@ -34,10 +36,9 @@ __all__ = ["main", "parse_n_spec"]
 
 _CSV_HEADER = "N,d,scenario,method,p_success,gap,status"
 
-# Thread-count symbols of the OpenBLAS builds bundled in the numpy and scipy
-# wheels (numpy's is the 64-bit-integer build), "%s" being "set" or "get".
-_OPENBLAS_THREADS = (("numpy", "scipy_openblas_%s_num_threads64_"),
-                     ("scipy", "scipy_openblas_%s_num_threads"))
+# Thread-count symbols of the OpenBLAS bundled in the numpy wheel (its
+# 64-bit-integer build), "%s" being "set" or "get".
+_OPENBLAS_THREADS = "scipy_openblas_%s_num_threads64_"
 
 
 class _UsageError(Exception):
@@ -233,25 +234,22 @@ def _cmd_verify(args) -> int:
 
 
 def _openblas_thread_controls():
-    """(set, get) thread-count functions of each bundled OpenBLAS that is found."""
-    for package, symbol in _OPENBLAS_THREADS:
-        module = sys.modules.get(package)
-        if module is None or module.__file__ is None:
+    """(set, get) thread-count functions of each OpenBLAS bundled with numpy that is found."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for path in glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+            set_threads = getattr(lib, _OPENBLAS_THREADS % "set")
+            get_threads = getattr(lib, _OPENBLAS_THREADS % "get")
+        except (OSError, AttributeError):
             continue
-        site = os.path.dirname(os.path.dirname(module.__file__))
-        for path in glob.glob(os.path.join(site, f"{package}.libs", "libscipy_openblas*")):
-            try:
-                lib = ctypes.CDLL(path)
-                set_threads, get_threads = getattr(lib, symbol % "set"), getattr(lib, symbol % "get")
-            except (OSError, AttributeError):
-                continue
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            yield set_threads, get_threads
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        yield set_threads, get_threads
 
 
 def _pin_blas_threads() -> None:
-    """Run numpy's and scipy's OpenBLAS on one thread, unless OPENBLAS_NUM_THREADS is set.
+    """Run numpy's bundled OpenBLAS on one thread, unless OPENBLAS_NUM_THREADS is set.
 
     The blocks are small: more BLAS threads only add synchronisation, which
     makes an SDP sweep about twice as slow on two cores.

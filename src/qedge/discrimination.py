@@ -18,7 +18,6 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ellipj, ellipkm1
 
 from .combinatorics import CapacityError, StringParams
 from .gram import (SemiseparableGram, build_gram_known, build_gram_unknown, dense_gram,
@@ -96,11 +95,12 @@ _RULE_TOL = 2e-16
 # Floats of shifted pivots `srm_blocks` holds at once (256 KB).  The blocks of
 # one chunk share one position loop, so larger chunks take fewer loop steps.
 _CHUNK_FLOATS = 1 << 15
-# ellipj sees only m = 1 - p: its AGM loses relative accuracy in cn as p
-# falls, and its first-order expansion in p (from p < 1e-10) loses p once
-# 1 - p rounds to 1.  Below this p that expansion is taken here in p itself;
-# its O(p^2) remainder keeps the rule within 1e-14 there.
-_SMALL_P = 1e-9
+# Rules for hi < 2 lo are built for [lo, 2 lo]: descending Landen from p = 1 never ends,
+# as k' = 0 maps k = 1 back to 1.
+_P_MAX = 0.5
+# Landen steps go on until the first-order remainder (p/4) cosh(v)^2 of sc(v | 1 - p) ~ sinh v,
+# relative, falls below this at the largest argument v.
+_LANDEN_TOL = 1e-17
 
 
 def _inverse_sqrt_rule(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -110,31 +110,50 @@ def _inverse_sqrt_rule(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     The midpoint rule in u on (0, K) for x^{-1/2} = (2/pi) int_0^inf dt / (t^2 + x),
     with t = sqrt(lo) sc(u | 1 - p) and p = lo/hi (Hale, Higham & Trefethen,
     SIAM J. Numer. Anal. 46, 2505, 2008); its error falls like
-    exp(-2 pi^2 m / (ln(hi/lo) + 3)) in the node count m.  A node past K/2 is
-    evaluated at its reflection v = K - u, where sn(u) = cd(v),
-    cn(u) = k' sd(v) and dn(u) = k' nd(v) (k'^2 = p), so no cn near 0 comes
-    from the cosine of an angle near pi/2.
+    exp(-2 pi^2 m / (ln(hi/lo) + 3)) in the node count m.  K = K(1 - p) is
+    pi / (2 AGM(1, sqrt(p))).  sc(u | 1 - p) = -i sn(iu | p) (Jacobi's imaginary
+    transformation) comes from descending Landen steps in the modulus k = sqrt(p)
+    down to sinh, then back up by sc <- (1 + k_j) sc / (1 - k_j sc^2) (Abramowitz &
+    Stegun 16.12, 16.20); then nc^2 = 1 + sc^2 and dc^2 = 1 + p sc^2.  A node past
+    K/2 is the reflection K - u of a node before it, where sc(u) = 1 / (k sc(K - u)),
+    so only the nodes up to K/2 are evaluated.
     """
-    p = lo / hi
-    if p > _SMALL_P:
-        p = 1.0 - (1.0 - p)   # the p that ellipj sees, so that K, k' and the nodes agree
-    m = math.ceil((math.log(hi / lo) + 3.0) * math.log(8.0 / _RULE_TOL) / (2.0 * math.pi ** 2))
-    big_k = float(ellipkm1(p))
-    h = big_k / m
-    u = (np.arange(m) + 0.5) * h
-    near = u <= 0.5 * big_k
-    v = np.where(near, u, big_k - u)
-    if p > _SMALL_P:
-        sn, cn, dn, _ = ellipj(v, 1.0 - p)
-    else:
-        quarter_p, cosh, tanh = 0.25 * p, np.cosh(v), np.tanh(v)
-        twice = cosh * np.sinh(v)
-        sn = tanh + quarter_p * (twice - v) / cosh ** 2
-        cn = (1.0 - quarter_p * (twice - v) * tanh) / cosh
-        dn = (1.0 + quarter_p * (twice + v) * tanh) / cosh
+    p = min(lo / hi, _P_MAX)
+    m = math.ceil((math.log(max(hi / lo, 1.0 / _P_MAX)) + 3.0) * math.log(8.0 / _RULE_TOL)
+                  / (2.0 * math.pi ** 2))
+    k = k0 = math.sqrt(p)
+    a, b = 1.0, k
+    while a - b > 1e-9 * a:   # one more mean after this is exact to rounding
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    h = math.pi / ((a + b) * m)
+    half = (m + 1) // 2   # nodes (j + 1/2) h up to K/2
+    step, moduli = h, []   # node spacing in the argument of the last Landen step
+    while k * k * math.cosh((half - 0.5) * step) ** 2 > 4.0 * _LANDEN_TOL:
+        k = (k / (1.0 + math.sqrt((1.0 - k) * (1.0 + k)))) ** 2   # (1 - k') / (1 + k')
+        moduli.append(k)
+        step /= 1.0 + k
+    sc = np.arange(0.5, half)
+    sc *= step
+    np.sinh(sc, out=sc)
+    den = np.empty_like(sc)
+    for k in reversed(moduli):
+        np.multiply(sc, sc, out=den)
+        den *= -k / (1.0 + k)
+        den += 1.0 / (1.0 + k)
+        sc /= den
+    sc2 = np.multiply(sc, sc, out=sc)
+    dc_nc = np.multiply(sc2, p, out=den)
+    dc_nc += 1.0
+    dc_nc *= sc2 + 1.0
+    np.sqrt(dc_nc, out=dc_nc)
     scale = 2.0 * h * math.sqrt(lo) / math.pi
-    shifts = np.where(near, lo * (sn / cn) ** 2, lo / p * (cn / sn) ** 2)
-    weights = np.where(near, scale * dn / cn ** 2, scale * dn / (math.sqrt(p) * sn ** 2))
+    weights, shifts = np.empty(m), np.empty(m)
+    np.multiply(sc2, lo, out=shifts[:half])
+    np.multiply(dc_nc, scale, out=weights[:half])
+    mirror = slice(m // 2 - 1, None, -1)   # node m - 1 - j for j < m // 2
+    np.divide(lo / p, sc2[mirror], out=shifts[half:])
+    np.divide(dc_nc[mirror], sc2[mirror], out=weights[half:])
+    weights[half:] *= scale / k0
     return weights, shifts
 
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -166,6 +167,70 @@ def test_elliptic_k_anchors():
         elliptic_k(1.0)
 
 
+def test_elliptic_k_matches_mpmath():
+    ms = [*np.linspace(0.0, 0.999, 101), 1e-300, 1e-17, 1e-9, 1.0 - 1e-10, 1.0 - 2.0 ** -52]
+    with mpmath.workdps(40):
+        for m in ms:
+            ref = mpmath.ellipk(mpmath.mpf(float(m)))
+            assert abs(elliptic_k(float(m)) / ref - 1) <= 1e-15, m
+
+
+def test_elliptic_k_from_complement_matches_mpmath():
+    # 40 significant digits of K(1 - mc): 1 - mc itself needs about 340 at mc = 1e-300
+    mc = np.concatenate([np.geomspace(1e-300, 1.0, 151), [0.5, 1.0 - 1e-16]])
+    k = asymptotics._elliptic_k_from_complement(mc)
+    for value, c in zip(k, mc):
+        with mpmath.workdps(40 - int(math.log10(c))):
+            ref = mpmath.ellipk(1 - mpmath.mpf(float(c)))
+        assert abs(value / ref - 1) <= 1e-15, c
+
+
+def test_dawson_matches_mpmath():
+    # both sides of the switch from the power series to the asymptotic series at y = 6
+    ys = [*np.linspace(0.0, 12.0, 241)[1:], 1e-300, 1e-8, 5.999999999, 6.0, 6.000000001,
+          1e3, 1e8, 1e300]
+    with mpmath.workdps(40):
+        for y in ys:
+            y = float(y)
+            ref = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-mpmath.mpf(y) ** 2) * mpmath.erfi(y)
+            assert abs(dawson(y) / ref - 1) <= 2e-15, y
+
+
+def test_solve_exact_matches_rational_gauss_jordan():
+    # reference: Gauss-Jordan elimination in Fractions, on every Pade system the two p0
+    # routes can try for the tabulated d
+    def reference(aug):
+        size = len(aug)
+        for col in range(size):
+            piv = next((r for r in range(col, size) if aug[r][col] != 0), None)
+            if piv is None:
+                return None
+            aug[col], aug[piv] = aug[piv], aug[col]
+            aug[col] = [x / aug[col][col] for x in aug[col]]
+            for r in range(size):
+                if r != col:
+                    aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+        return [row[size] for row in aug]
+
+    systems = 0
+    for d in (2, 3, 4, 8):
+        table = coefficient_table(d)
+        primitive = [table.coeffs[r - 1] / (2 * r + 1) for r in range(1, len(table) + 1)]
+        for series, orders in [
+            (table.series_in_z(), [(s, s) for s in range(len(table) // 2, 0, -1)]),
+            (primitive, [o for n in range((len(primitive) - 1) // 2, 0, -1)
+                         for o in ((n, n), (n - 1, n))]),
+        ]:
+            for n, m in orders:
+                aug = [[series[s - q] if s - q >= 0 else Fraction(0) for q in range(1, m + 1)]
+                       + [-series[s]] for s in range(n + 1, n + m + 1)]
+                assert asymptotics._solve_exact([row[:] for row in aug]) == reference(aug)
+                systems += 1
+    assert systems == 93
+    singular = [[Fraction(1), Fraction(2), Fraction(1)], [Fraction(1, 2), Fraction(1), Fraction(3)]]
+    assert asymptotics._solve_exact(singular) is None
+
+
 def test_elliptic_k_monotone():
     ms = np.linspace(0, 0.999, 200)
     vals = [elliptic_k(m) for m in ms]
@@ -220,7 +285,8 @@ def test_dawson_series_identity():
 
 
 def test_dawson_branch_seam_continuous():
-    # series below y = 1, odd-point sampling above: values must agree across the seam
+    # values must agree across y = 1 (the series switch at y = 6, checked against mpmath
+    # in test_dawson_matches_mpmath)
     assert abs(dawson(1.0) - dawson(1.0 + 1e-12)) < 1e-11
     assert abs(dawson(0.999999) - dawson(1.000001)) < 1e-5
 

@@ -2,6 +2,7 @@ import io
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from qedge import (
     sym_dim,
     tridiag_inverse_reference,
 )
-from qedge.gram import dump_gram_csv, log_generators
+from qedge.gram import _log_factorials, dump_gram_csv, log_generators
 
 
 def test_unknown_gram_n2_exact():
@@ -219,3 +220,13 @@ def test_log_generators_lay_blocks_end_to_end(scenario, n, d, labels):
         for name, values in zip(("log_eta", "log_r", "log_delta"), flat):
             assert np.array_equal(values[start:stop], getattr(g, name)), (label, name)
     assert np.all(np.isfinite(flat[0]))
+
+
+def test_log_factorials_match_mpmath():
+    table = _log_factorials(10_000)
+    assert table.shape == (10_001,) and table[0] == table[1] == 0.0
+    with mpmath.workdps(40):
+        for n in range(2, 10_001):
+            ref = mpmath.loggamma(n + 1)
+            # within 2 ulp, but for lgamma(3) = ln 2 - 3.6e-16 (3.2 ulp)
+            assert abs(table[n] - ref) <= max(2 * np.spacing(table[n]), 4e-16), n

@@ -173,9 +173,11 @@ def test_dense_refuses_generators_outside_float_range():
     assert 0 < srm_block(g) < g.trace
 
 
-@pytest.mark.parametrize("kappa", [10.0, 1e4, 1e7, 2.6e7, 1e9, 1e20])
+@pytest.mark.parametrize("kappa", [10.0, 1e4, 1e7, 2.6e7, 1e9, 1e20,
+                                   1.0, 1.0 + 1e-9, 1.5, 5e8, 1e50, 1e144, 1e250])
 def test_inverse_sqrt_rule_is_positive_and_accurate(kappa):
-    # from 1e9 the nodes come from the expansion in the complementary parameter
+    # hi < 2 lo takes the rule of [lo, 2 lo], as Landen from p = 1 would not end; the
+    # number of Landen steps falls from 4 up to kappa = 10 to none from about 1e33
     lo = 0.37
     weights, shifts = discrimination._inverse_sqrt_rule(lo, lo * kappa)
     assert np.all(weights > 0) and np.all(shifts > 0)
