@@ -30,7 +30,7 @@ from .asymptotics import (
     p0_via_primitive,
 )
 from .discrimination import success_curve
-from .gram import build_gram_known, build_gram_unknown, dump_gram_csv, rescale_gram
+from .gram import _gram_blocks, dump_gram_csv, rescale_gram
 
 __all__ = ["main", "parse_n_spec"]
 
@@ -208,8 +208,7 @@ def _cmd_asymptote(args) -> int:
 
 
 def _cmd_gram_dump(args) -> int:
-    build = build_gram_unknown if args.scenario == "unknown" else build_gram_known
-    g = build(args.n, args.d, args.block)
+    (g,) = _gram_blocks(args.scenario, args.n, args.d, [args.block])
     if args.rescaled:
         g = rescale_gram(g)   # ValueError (exit 1) for a known-unknown block
     buf = io.StringIO()

@@ -20,9 +20,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .combinatorics import CapacityError, StringParams
-from .gram import (SemiseparableGram, build_gram_known, build_gram_unknown, dense_gram,
-                   log_bidiagonal_squares, log_generators)
-from .linalg import SdpSolution, _check_gap_tol, _rank_one_solution, _reweighted_srm
+from .gram import SemiseparableGram, _gram_blocks, _rank_one, log_bidiagonal_squares, log_generators
+from .linalg import SdpSolution, _check_gap_tol, _rank_one_solution, _reweighted_certificate
 
 __all__ = [
     "CurvePoint",
@@ -71,15 +70,10 @@ class DiscriminationResult:
 
 
 def scenario_blocks(scenario: str, params: StringParams) -> list[tuple[int, SemiseparableGram]]:
-    """(label, gram) pairs for a scenario.
-
-    Unknown-unknown blocks are labeled by the irrep lam; known-unknown blocks
-    by the excitation count n1 = N - ntilde0 for qubits and by ntilde0 for
-    d > 2.
-    """
-    build = build_gram_unknown if scenario == "unknown" else build_gram_known
+    """(label, gram) pairs for a scenario: unknown-unknown blocks are labeled by the irrep lam,
+    known-unknown blocks by the excitation count n1 = N - ntilde0 for qubits and by ntilde0 for d > 2."""
     labels, arguments = _block_arguments(scenario, params)
-    return [(label, build(params.N, params.d, a)) for label, a in zip(labels, arguments)]
+    return list(zip(labels, _gram_blocks(scenario, params.N, params.d, arguments)))
 
 
 def _block_arguments(scenario: str, params: StringParams) -> tuple[range, range]:
@@ -257,13 +251,6 @@ def _root_diagonals(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray,
     return root
 
 
-def _rank_one(log_delta: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Which blocks laid end to end are rank one: every Delta but the last vanishes."""
-    vanishing = np.isneginf(log_delta)
-    vanishing[ends] = True
-    return np.logical_and.reduceat(vanishing, starts)
-
-
 def _srm_values(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray, log_delta: np.ndarray,
                 describe: Callable[[int], object]) -> np.ndarray:
     """SRM value sum_k [G^{1/2}]_kk^2 of each block laid end to end (`_root_diagonals`)."""
@@ -345,8 +332,8 @@ def _optimal_solutions(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarra
             i = blocks[j]
             block = slice(starts[i], ends[i] + 1)
             solutions[i] = SdpSolution(
-                partial(_dense_view, log_eta[block], log_r[block], x[first[j]:first[j] + n[j]].copy(),
-                        describe(i)),
+                partial(_reweighted_certificate, log_eta[block], log_r[block],
+                        x[first[j]:first[j] + n[j]].copy(), describe(i)),
                 primal[j], dual[j], passes,
                 "converged" if dual[j] - primal[j] <= gap_tol else "gapExceeded")
         keep = np.repeat(~done, n)
@@ -365,11 +352,6 @@ def _optimal_solutions(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarra
         history = [*history, (resid, step)][-_ANDERSON_DEPTH:]
         passes += 1
     return solutions
-
-
-def _dense_view(log_eta: np.ndarray, log_r: np.ndarray, x: np.ndarray, block: object):
-    """Dense POVM and dual of a full-rank block at log-weights x (`_reweighted_srm`)."""
-    return _reweighted_srm(dense_gram(log_eta, log_r, block), x)
 
 
 def optimal_block(g: SemiseparableGram, gap_tol: float = 1e-8) -> tuple[float, SdpSolution]:

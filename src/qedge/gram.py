@@ -98,8 +98,8 @@ class SemiseparableGram:
 
     @property
     def rank_one(self) -> bool:
-        """All states coincide up to their priors: every Delta but the last vanishes."""
-        return bool(np.all(np.isneginf(self.log_delta[:-1])))
+        """All states coincide up to their priors (`_rank_one`)."""
+        return bool(_rank_one(self.log_delta, [0], [-1])[0])
 
     @property
     def trace(self) -> float:
@@ -183,6 +183,13 @@ def log_generators(scenario: str, N: int, d: int, labels: Sequence[int]) -> tupl
     return orders, log_eta, log_r, log_delta
 
 
+def _rank_one(log_delta: np.ndarray, starts, ends) -> np.ndarray:
+    """Which blocks laid end to end (`log_generators`) are rank one: all Delta but the last are 0."""
+    vanishing = np.isneginf(log_delta)
+    vanishing[ends] = True
+    return np.logical_and.reduceat(vanishing, starts)
+
+
 def log_bidiagonal_squares(log_eta: np.ndarray, log_r: np.ndarray, log_delta: np.ndarray,
                            ends) -> tuple[np.ndarray, np.ndarray]:
     """log b_k^2 = -log Delta_k - 2 log v_k and log c_k^2 = -log Delta_k - 2 log v_{k+1} of
@@ -196,6 +203,20 @@ def log_bidiagonal_squares(log_eta: np.ndarray, log_r: np.ndarray, log_delta: np
     return np.subtract(log_b2, log_v2, out=log_b2), log_c2
 
 
+def _gram_blocks(scenario: str, N: int, d: int, arguments: Sequence[int]) -> list[SemiseparableGram]:
+    """Blocks lam (unknown) or ntilde0 (known) of (scenario, N, d) from one `log_generators` call."""
+    params = StringParams(N, d)
+    if scenario == "unknown":
+        blocks = [IrrepBlock(params, a, k_range=hypothesis_range(N, a)) for a in arguments]
+    elif all(0 <= a <= N for a in arguments):
+        blocks = [KnownBlock(params, a, k_range=range(max(N - a, 1), N + 1)) for a in arguments]
+    else:
+        raise ValueError(f"ntilde0 must be in 0..N, got {[a for a in arguments if not 0 <= a <= N]}")
+    orders, *flat = log_generators(scenario, N, d, arguments)
+    return [SemiseparableGram(block, *(g[end - n:end] for g in flat))
+            for block, n, end in zip(blocks, orders.tolist(), np.cumsum(orders).tolist())]
+
+
 def build_gram_unknown(N: int, d: int, lam: int) -> SemiseparableGram:
     """Gram matrix of the unknown-unknown block (N, d, lam).
 
@@ -203,8 +224,7 @@ def build_gram_unknown(N: int, d: int, lam: int) -> SemiseparableGram:
     generators u_k = sqrt(eta r_k), r_k = binom(N-k,lam)/binom(k,lam), and
     v_k = sqrt(eta / r_k).
     """
-    block = IrrepBlock(params=StringParams(N, d), lam=lam, k_range=hypothesis_range(N, lam))
-    return SemiseparableGram(block, *log_generators("unknown", N, d, [lam])[1:])
+    return _gram_blocks("unknown", N, d, [lam])[0]
 
 
 def build_gram_known(N: int, d: int, ntilde0: int) -> SemiseparableGram:
@@ -216,10 +236,7 @@ def build_gram_known(N: int, d: int, ntilde0: int) -> SemiseparableGram:
     is folded into the priors, so the diagonal equals mult/(N d^sym_k) and
     the priors over all blocks sum to 1.  Here r_k = 1/binom(k,e).
     """
-    if not 0 <= ntilde0 <= N:
-        raise ValueError(f"ntilde0 must be in 0..N, got {ntilde0}")
-    block = KnownBlock(StringParams(N, d), ntilde0, k_range=range(max(N - ntilde0, 1), N + 1))
-    return SemiseparableGram(block, *log_generators("known", N, d, [ntilde0])[1:])
+    return _gram_blocks("known", N, d, [ntilde0])[0]
 
 
 def rescale_gram(g: SemiseparableGram) -> SemiseparableGram:

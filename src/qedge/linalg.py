@@ -11,7 +11,7 @@ most one has a closed form, and every other one follows the central path of
 the dual log-det barrier, where Sherman-Morrison reduces each Newton system to
 a Lyapunov operator plus a Woodbury system of order n.  The edge-detection
 blocks of full rank are solved on the tridiagonal kernel instead
-(`qedge.discrimination`); `_reweighted_srm` builds their dense certificate.
+(`qedge.discrimination`); `_reweighted_certificate` writes out their certificate.
 A solve that breaks down numerically raises `numpy.linalg.LinAlgError`.
 """
 
@@ -22,7 +22,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.linalg import cholesky
+from numpy.linalg import cholesky, svd
+
+from .gram import dense_gram
 
 __all__ = [
     "NotPsdError",
@@ -35,6 +37,7 @@ _FINAL_T_MARGIN = 1.25   # final barrier parameter 1.25*nu/gap_tol, so gap ~ 0.8
 _BARRIER_GROWTH = 25.0
 _RANK_TOL = 1e-12        # eigenvalues below _RANK_TOL * lambda_max count as zero
 _MAX_ITER = 200          # Newton steps per SDP solve, over all barrier parameters
+_TRACE_TOL = 1e-9        # relative misfit of tr(dual) to dual_value that a dense view may have
 
 
 class NotPsdError(ValueError):
@@ -85,10 +88,10 @@ def _check_gap_tol(gap_tol: float) -> None:
 class SdpSolution:
     """Values, status and dense certificate of one block solve.
 
-    ``view()`` builds the POVM [E_k] and the dual Y that ``primal`` and ``dual``
-    return.  Only the latest build of any solution is kept, so reading both builds
-    once and solutions held in bulk hold no dense matrix.  ``iterations`` counts
-    the reweighting's kernel passes or the barrier's Newton steps."""
+    ``view()`` builds the POVM [E_k] and the dual Y that ``primal`` and ``dual`` return; they
+    raise numpy.linalg.LinAlgError unless tr Y is ``dual_value`` to _TRACE_TOL relative.  Only
+    the latest build of any solution is kept, so solutions held in bulk hold no dense matrix.
+    ``iterations`` counts the reweighting's kernel passes or the barrier's Newton steps."""
 
     view: Callable[[], tuple[list[np.ndarray], np.ndarray]] = field(repr=False)
     primal_value: float = 0.0
@@ -112,7 +115,10 @@ class SdpSolution:
 
 @lru_cache(maxsize=1)
 def _certificate(sol: SdpSolution) -> tuple[list[np.ndarray], np.ndarray]:
-    return sol.view()
+    primal, dual = sol.view()
+    if not abs(np.trace(dual) - sol.dual_value) <= _TRACE_TOL * abs(sol.dual_value):
+        raise np.linalg.LinAlgError(f"tr Y = {np.trace(dual)!r} but the dual value is {sol.dual_value!r}")
+    return primal, dual
 
 
 def _rank_one_solution(a: np.ndarray) -> SdpSolution:
@@ -130,6 +136,23 @@ def _rank_one_solution(a: np.ndarray) -> SdpSolution:
         return primal, value / max(float(a @ a), 1e-300) * np.outer(a, a)
 
     return SdpSolution(view=view, primal_value=value, dual_value=value)
+
+
+def _reweighted_certificate(log_eta: np.ndarray, log_r: np.ndarray, x: np.ndarray, block: object):
+    """POVM and dual of a full-rank block's SRM reweighted by w = e^x, from one SVD s W = U Sigma V^T
+    (s = sqrt G, columns the states): the polar factor U V^T holds the measurement vectors
+    (Higham, SIAM J. Sci. Stat. Comput. 7, 1160, 1986), so sum E_k = I, and in their basis
+    Y = c U Sigma U^T is c S, S = V Sigma V^T = (W G W)^{1/2}, c = max_k S_kk / w_k^2.  So Y >= rho_k,
+    and tr Y and sum_k tr(E_k rho_k) are `_optimal_solutions`' D and P.  A Gram that deflation
+    leaves short of full rank raises numpy.linalg.LinAlgError."""
+    _, eig, vec = _kept_spectrum(dense_gram(log_eta, log_r, block))
+    if eig.size < vec.shape[0]:
+        raise np.linalg.LinAlgError(f"the Gram of block {block} is not numerically positive definite")
+    w = np.exp(x)
+    u, sigma, vt = svd(_root(eig, vec) * w)
+    c = float((sigma @ (vt * vt) / (w * w)).max())
+    y = (u * (c * sigma)) @ u.T
+    return [np.outer(m, m) for m in (u @ vt).T], 0.5 * (y + y.T)
 
 
 def solve_discrimination_sdp(gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolution:
@@ -157,31 +180,6 @@ def solve_discrimination_sdp(gram: np.ndarray, gap_tol: float = 1e-8) -> SdpSolu
     dual = vr @ y_hat @ vr.T
     return SdpSolution(view=lambda: (primal, dual), primal_value=primal_value,
                        dual_value=dual_value, iterations=iters, status=status)
-
-
-def _reweighted_srm(gram: np.ndarray, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Dense POVM [E_k] and dual Y of the SRM of the states with Gram G, reweighted by e^x.
-
-    The SRM of the Gram M = W G W measures the columns m_k of s W M^{-1/2}
-    (s = sqrt G, columns the states), renormalised by (sum m m^T)^{-1/2} so that
-    sum E_k = I to rounding.  Y = sum rho_k E_k, symmetrised, is scaled by
-    q = max(1, max_k s_k^T Y^{-1} s_k), which makes Y >= rho_k and tr Y - P = (q - 1) P.
-    """
-    g, w, v = _kept_spectrum(gram)
-    s = _root(w, v)
-    wx = np.exp(x)
-    lam, u = np.linalg.eigh(wx[:, None] * g * wx[None, :])
-    if w.size < g.shape[0] or lam[0] <= 0.0:
-        raise np.linalg.LinAlgError("the reweighted Gram is not numerically positive definite")
-    meas = (s * wx) @ (u / np.sqrt(lam)) @ u.T
-    t_lam, t_vec = np.linalg.eigh(meas @ meas.T)
-    meas = (t_vec / np.sqrt(t_lam)) @ t_vec.T @ meas
-    overlap = (s * meas).sum(axis=0)       # s_k . m_k
-    y = (s * overlap) @ meas.T
-    y = 0.5 * (y + y.T)
-    z = np.linalg.solve(cholesky(y), s)
-    scale = max(1.0, float((z * z).sum(axis=0).max()))
-    return [np.outer(m, m) for m in meas.T], scale * y
 
 
 def _barrier_phi(y: np.ndarray, b: np.ndarray, t: float, n: int):

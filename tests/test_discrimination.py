@@ -16,7 +16,7 @@ from qedge import (
     success_curve,
     total_success,
 )
-from qedge import discrimination, gram
+from qedge import discrimination, gram, linalg
 from qedge.linalg import psd_sqrt, solve_discrimination_sdp
 
 
@@ -234,13 +234,13 @@ def test_optimal_gaps_close_to_rounding():
 
 def test_dense_certificate_built_on_read(monkeypatch):
     built = []
-    build = discrimination._reweighted_srm
+    build = discrimination._reweighted_certificate
 
     def counted(*args):
         built.append(args)
         return build(*args)
 
-    monkeypatch.setattr(discrimination, "_reweighted_srm", counted)
+    monkeypatch.setattr(discrimination, "_reweighted_certificate", counted)
     res = total_success(ScenarioSpec("known", StringParams(12, 2), "sdp"))
     assert built == []
     label = 4
@@ -262,7 +262,7 @@ def test_sdp_totals_build_no_dense_matrix(monkeypatch):
         raise AssertionError("dense matrix built")
 
     monkeypatch.setattr(gram, "dense_gram", refuse)
-    monkeypatch.setattr(discrimination, "dense_gram", refuse)
+    monkeypatch.setattr(linalg, "dense_gram", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     cases = [("unknown", 12, 2, 0), ("known", 12, 2, 0), ("known", 8, 3, 8)]
     solutions = [total_success(ScenarioSpec(scenario, StringParams(n, d), "sdp")).certificates[label]

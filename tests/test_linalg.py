@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qedge import (
     build_gram_unknown,
     optimal_block,
     psd_sqrt,
+    scenario_blocks,
     solve_discrimination_sdp,
     total_success,
 )
@@ -223,7 +226,7 @@ def test_dependent_states_use_the_barrier(monkeypatch):
         assert np.linalg.eigvalsh(sol.primal[k]).min() >= -1e-9
 
 
-@pytest.mark.parametrize("rank", [1, 6, 3], ids=["rank-one", "reweighted", "barrier"])
+@pytest.mark.parametrize("rank", [1, 6, 3], ids=["rank-one", "full-rank-barrier", "barrier"])
 def test_gap_is_dual_minus_primal(rank):
     g = random_psd(np.random.default_rng(37), 6, rank=rank)
     sol = solve_discrimination_sdp(g / np.trace(g))
@@ -233,15 +236,55 @@ def test_gap_is_dual_minus_primal(rank):
         sol.gap = 0.0
 
 
-def test_failed_cholesky_raises(monkeypatch):
+def test_failed_svd_raises(monkeypatch):
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("forced")
 
-    monkeypatch.setattr(linalg, "cholesky", broken)
+    monkeypatch.setattr(linalg, "svd", broken)
     value, sol = optimal_block(build_gram_known(10, 2, 7))
     assert sol.status == "converged"   # the values and the status need no dense algebra
     with pytest.raises(np.linalg.LinAlgError, match="forced"):
         sol.dual   # the dense certificate, built on first read
+
+
+def _certificate_misfits(sol, states):
+    """max |sum E_k - I|, and the misfits of tr(dual) to dual_value and of
+    sum_k s_k^T E_k s_k to primal_value relative to them; the s_k are the columns of states."""
+    primal, dual = sol.primal, sol.dual
+    value = sum(s @ e @ s for s, e in zip(states.T, primal))
+    return (np.abs(sum(primal) - np.eye(len(primal))).max(),
+            abs(np.trace(dual) - sol.dual_value) / sol.dual_value,
+            abs(value - sol.primal_value) / sol.primal_value)
+
+
+@pytest.mark.parametrize("case, tol", [
+    (("unknown", 54, 2), 1e-12), (("known", 40, 2), 1e-12), (("known", 48, 8), 1e-11), ("barrier", 1e-12),
+], ids=["unknown-54", "known-40", "known-48-d8", "barrier"])
+def test_dense_certificate_matches_its_values(case, tol):
+    # every kind of solution: the totals hold rank-one closed forms and reweighted kernel
+    # blocks, and a Gram of rank 3 and order 6 takes the barrier
+    if case == "barrier":
+        g = random_psd(np.random.default_rng(41), 6, rank=3)
+        g /= np.trace(g)
+        solved = [(solve_discrimination_sdp(g), g)]
+    else:
+        scenario, n, d = case
+        res = total_success(ScenarioSpec(scenario, StringParams(n, d), "sdp"))
+        blocks = scenario_blocks(scenario, StringParams(n, d))
+        solved = [(res.certificates[label], g.dense) for label, g in blocks]
+    for sol, g in solved:
+        povm, trace, value = _certificate_misfits(sol, psd_sqrt(g))
+        assert povm <= 1e-13 and trace <= tol and value <= tol, (sol, povm, trace, value)
+
+
+def test_dense_certificate_contradicting_its_dual_value_raises():
+    sol = total_success(ScenarioSpec("known", StringParams(12, 2), "sdp")).certificates[4]
+    log_eta, log_r, x, block = sol.view.args
+    # a POVM and a feasible dual still, but of other weights than those the values came from
+    corrupted = dataclasses.replace(sol, view=partial(sol.view.func, log_eta, log_r, 1.01 * x, block))
+    with pytest.raises(np.linalg.LinAlgError, match="but the dual value is"):
+        corrupted.dual
+    assert np.trace(sol.dual) == pytest.approx(sol.dual_value, rel=1e-13)
 
 
 def test_full_rank_gram_is_decomposed_once(monkeypatch):

@@ -149,8 +149,10 @@ def test_srm_block_leaves_dense_unbuilt():
 
 
 @pytest.mark.parametrize("module, name", [
-    (discrimination, "scenario_blocks"), (discrimination, "build_gram_unknown"),
-    (discrimination, "build_gram_known"), (gram_module, "SemiseparableGram"),
+    # every block is made by _gram_blocks: scenario_blocks calls discrimination's binding,
+    # build_gram_unknown and build_gram_known call gram's
+    (discrimination, "scenario_blocks"), (discrimination, "_gram_blocks"),
+    (gram_module, "_gram_blocks"), (gram_module, "SemiseparableGram"),
 ])
 def test_srm_total_builds_no_block(monkeypatch, module, name):
     class Built(Exception):

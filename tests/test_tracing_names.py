@@ -30,10 +30,13 @@ def test_every_traced_function_exists():
     assert missing == []
 
 
-def test_traced_sdp_grid_round():
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "sdp_grid", "--seed", "1",
-                           "--seconds", "0", "--trace", "1"], cwd=ROOT, capture_output=True, text=True,
-                          timeout=300)
+def test_traced_sdp_grid_round(tmp_path):
+    # run.py takes src/ from its working directory and writes perfbench/out/ there: a
+    # directory holding only a link to src keeps the traced spans out of the checkout
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "sdp_grid",
+                           "--seed", "1", "--seconds", "0", "--trace", "1"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["correct"] is True and report["failed"] == 0
