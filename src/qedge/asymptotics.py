@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .gram import build_gram_unknown
-from .discrimination import srm_blocks
+from .discrimination import _srm_values
+from .gram import log_generators
 
 __all__ = [
     "CoefficientEstimate",
@@ -160,47 +160,49 @@ class PadeApproximant:
 
 
 def pade(series: list[Fraction], n: int, m: int) -> PadeApproximant:
-    """Pade approximant [n/m] of a Maclaurin series, solved in exact rationals.
+    """Pade approximant [n/m] of a Maclaurin series, solved in integers.
 
     ``series`` lists the coefficients of z^0, z^1, ... and must reach order
-    n + m.  The re-expansion of the result is checked coefficient by
-    coefficient; a singular matching system raises DegeneratePadeError.
+    n + m.  Scaled to one common denominator L, c_s = C_s / L with integers C_s,
+    the matching system sum_{q=1..m} B_q C_{s-q} = -C_s (s = n+1..n+m) takes one
+    integer solve (`_solve_exact`), B_q = b_q / D.  With b_0 = D, the re-expansion
+    of numer/denom equals the series through order n + m exactly when the integer
+    residuals sum_{q=0..m} b_q C_{s-q} vanish for s = n+1..n+m (below that it holds
+    by construction); a nonzero one, or a singular system, raises DegeneratePadeError.
+    The numerator is A_s = sum_{q=0..min(m,s)} b_q C_{s-q} / (D L).
     """
-    series = [Fraction(c) for c in series]
     if len(series) < n + m + 1:
         raise ValueError(f"series must reach order n+m={n+m}, got {len(series) - 1}")
-    aug = [
-        [series[s - q] if s - q >= 0 else Fraction(0) for q in range(1, m + 1)]
-        + [-series[s]]
-        for s in range(n + 1, n + m + 1)
-    ]
-    bcoef = _solve_exact(aug)
-    if bcoef is None:
+    series = [Fraction(c) for c in series[:n + m + 1]]
+    scale = math.lcm(*(c.denominator for c in series))
+    ints = [c.numerator * (scale // c.denominator) for c in series]
+    solved = _solve_exact([[ints[s - q] if s - q >= 0 else 0 for q in range(1, m + 1)] + [-ints[s]]
+                           for s in range(n + 1, n + m + 1)])
+    if solved is None:
         raise DegeneratePadeError(f"singular Pade system at order [{n}/{m}]")
-    denom = tuple(bcoef)
-    numer = tuple(
-        series[s] + sum(denom[q - 1] * series[s - q] for q in range(1, min(m, s) + 1))
-        for s in range(n + 1)
-    )
-    approx = PadeApproximant(order=(n, m), numer=numer, denom=denom,
-                             defects=_denominator_roots(denom))
-    for ours, theirs in zip(approx.expansion(n + m), series):
-        if ours != theirs:
-            raise DegeneratePadeError(f"re-expansion mismatch at order [{n}/{m}]")
-    return approx
+    numers, det = solved
+    b = [det, *numers]
+
+    def convolved(s: int) -> int:   # sum_q b_q C_{s-q}
+        return sum(b[q] * ints[s - q] for q in range(min(m, s) + 1))
+
+    if any(convolved(s) for s in range(n + 1, n + m + 1)):
+        raise DegeneratePadeError(f"re-expansion mismatch at order [{n}/{m}]")
+    denom = tuple(Fraction(x, det) for x in numers)
+    return PadeApproximant(order=(n, m), numer=tuple(Fraction(convolved(s), det * scale)
+                                                     for s in range(n + 1)),
+                           denom=denom, defects=_denominator_roots(denom))
 
 
-def _solve_exact(aug: list[list[Fraction]]) -> list[Fraction] | None:
-    """Solution of the square system [A | b] in rationals; None if A is singular.
+def _solve_exact(rows: list[list[int]]) -> tuple[list[int], int] | None:
+    """Solution of the square integer system [A | b] as numerators x_i over one
+    determinant D, x = (x_i / D); None if A is singular.
 
-    Each row is scaled to integers, then reduced by fraction-free Gauss-Jordan
-    elimination (Bareiss, Math. Comp. 22, 565, 1968): every entry stays an integer
-    minor of the scaled system, so each division by the previous pivot is exact.
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 565, 1968): every
+    entry stays an integer minor of the system, so each division by the previous pivot
+    is exact, and the last pivot D = +-det A is the one denominator of the solution.
     """
-    rows = []
-    for row in aug:
-        scale = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    rows = list(rows)
     size, prev = len(rows), 1
     for col in range(size):
         piv = next((r for r in range(col, size) if rows[r][col]), None)
@@ -214,7 +216,7 @@ def _solve_exact(aug: list[list[Fraction]]) -> list[Fraction] | None:
                 factor = row[col]
                 rows[r] = [(pivot * x - factor * y) // prev for x, y in zip(row, pivot_row)]
         prev = pivot
-    return [Fraction(row[size], prev) for row in rows]
+    return [row[size] for row in rows], prev
 
 
 def _denominator_roots(denom: tuple[Fraction, ...]) -> tuple[float, ...]:
@@ -393,7 +395,9 @@ _ESTIMATOR_X = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 def estimate_low_order_coeffs(d: int, r_max: int = 3) -> list[CoefficientEstimate]:
     """Numeric estimate of a_1..a_r_max from finite-N square-root-measurement blocks.
 
-    Evaluates (N/2) P_lam(x) on a fixed (N, x) grid, Richardson-extrapolates
+    Evaluates (N/2) P_lam(x) on a fixed (N, x) grid, lam = N/2 - round(xN/2): the
+    six blocks of each N come from one `log_generators` call, and all 24 take one
+    SRM kernel call (`_srm_values`), with no block object built.  It Richardson-extrapolates
     in 1/N (full Neville tableau over doubling N), and fits even powers of x
     with one guard term beyond r_max.  Error bars combine the fit's stability
     under dropping the smallest x with the last Richardson correction; they
@@ -405,12 +409,19 @@ def estimate_low_order_coeffs(d: int, r_max: int = 3) -> list[CoefficientEstimat
         raise ValueError(f"d must be >= 2, got {d}")
     if not 1 <= r_max <= 3:
         raise ValueError(f"r_max must be in 1..3, got {r_max}")
-    values = iter(srm_blocks([build_gram_unknown(n_val, d, n_val // 2 - round(x * n_val / 2))
-                              for x in _ESTIMATOR_X for n_val in _ESTIMATOR_N]))
+    lams = [[n_val // 2 - round(x * n_val / 2) for x in _ESTIMATOR_X] for n_val in _ESTIMATOR_N]
+    flat = map(np.concatenate, zip(*(log_generators("unknown", n_val, d, lam)
+                                     for n_val, lam in zip(_ESTIMATOR_N, lams))))
+
+    def describe(i: int) -> str:
+        n_index, x_index = divmod(i, len(_ESTIMATOR_X))
+        return f"lam={lams[n_index][x_index]} of N={_ESTIMATOR_N[n_index]}, d={d}"
+
+    values = _srm_values(*flat, describe).reshape(len(_ESTIMATOR_N), len(_ESTIMATOR_X))
     extrapolated = []
     last_correction = []
-    for x in _ESTIMATOR_X:
-        level = [(n_val / 2) * next(values) for n_val in _ESTIMATOR_N]
+    for column in values.T.tolist():   # one x, N ascending
+        level = [(n_val / 2) * value for n_val, value in zip(_ESTIMATOR_N, column)]
         factor = 2.0
         prev = level[-1]
         while len(level) > 1:

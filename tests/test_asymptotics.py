@@ -7,10 +7,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipkm1
 
-from qedge import asymptotics
+from qedge import asymptotics, discrimination
+from qedge import gram as gram_module
 from qedge import (
     DegeneratePadeError,
     NotTabulatedError,
+    build_gram_unknown,
     coefficient_table,
     dawson,
     elliptic_k,
@@ -20,6 +22,7 @@ from qedge import (
     p0_via_integral,
     p0_via_primitive,
     pade,
+    srm_blocks,
 )
 
 
@@ -196,39 +199,121 @@ def test_dawson_matches_mpmath():
             assert abs(dawson(y) / ref - 1) <= 2e-15, y
 
 
-def test_solve_exact_matches_rational_gauss_jordan():
-    # reference: Gauss-Jordan elimination in Fractions, on every Pade system the two p0
-    # routes can try for the tabulated d
-    def reference(aug):
-        size = len(aug)
-        for col in range(size):
-            piv = next((r for r in range(col, size) if aug[r][col] != 0), None)
-            if piv is None:
-                return None
-            aug[col], aug[piv] = aug[piv], aug[col]
-            aug[col] = [x / aug[col][col] for x in aug[col]]
-            for r in range(size):
-                if r != col:
-                    aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
-        return [row[size] for row in aug]
+def _gauss_jordan(aug):
+    """Solution of the square rational system [A | b] by Gauss-Jordan elimination in
+    Fractions; None if A is singular."""
+    aug = [row[:] for row in aug]
+    size = len(aug)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(size):
+            if r != col:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    return [row[size] for row in aug]
 
-    systems = 0
+
+def _route_series():
+    """(d, series, route) for both p0 routes' series of every tabulated d."""
     for d in (2, 3, 4, 8):
         table = coefficient_table(d)
-        primitive = [table.coeffs[r - 1] / (2 * r + 1) for r in range(1, len(table) + 1)]
-        for series, orders in [
-            (table.series_in_z(), [(s, s) for s in range(len(table) // 2, 0, -1)]),
-            (primitive, [o for n in range((len(primitive) - 1) // 2, 0, -1)
-                         for o in ((n, n), (n - 1, n))]),
-        ]:
-            for n, m in orders:
-                aug = [[series[s - q] if s - q >= 0 else Fraction(0) for q in range(1, m + 1)]
-                       + [-series[s]] for s in range(n + 1, n + m + 1)]
-                assert asymptotics._solve_exact([row[:] for row in aug]) == reference(aug)
-                systems += 1
+        yield d, table.series_in_z(), "z-series"
+        yield d, [table.coeffs[r - 1] / (2 * r + 1) for r in range(1, len(table) + 1)], "primitive"
+
+
+def test_solve_exact_matches_rational_gauss_jordan():
+    # every Pade system the two p0 routes can try for the tabulated d, scaled to integers
+    # by one common denominator; numerators over the one determinant must equal the
+    # rational Gauss-Jordan solution exactly
+    systems = 0
+    for _, series, route in _route_series():
+        orders = ([(s, s) for s in range((len(series) - 1) // 2, 0, -1)] if route == "z-series" else
+                  [o for n in range((len(series) - 1) // 2, 0, -1) for o in ((n, n), (n - 1, n))])
+        for n, m in orders:
+            aug = [[series[s - q] if s - q >= 0 else Fraction(0) for q in range(1, m + 1)]
+                   + [-series[s]] for s in range(n + 1, n + m + 1)]
+            scale = math.lcm(*(x.denominator for row in aug for x in row))
+            solved = asymptotics._solve_exact([[int(x * scale) for x in row] for row in aug])
+            expected = _gauss_jordan(aug)
+            if expected is None:
+                assert solved is None
+            else:
+                numers, det = solved
+                assert [Fraction(x, det) for x in numers] == expected
+            systems += 1
     assert systems == 93
-    singular = [[Fraction(1), Fraction(2), Fraction(1)], [Fraction(1, 2), Fraction(1), Fraction(3)]]
-    assert asymptotics._solve_exact(singular) is None
+    assert asymptotics._solve_exact([[2, 4, 2], [1, 2, 6]]) is None
+
+
+def _reference_pade(series, n, m):
+    """Pade [n/m] by the Fraction algorithm: rational Bareiss solve, numerator and the
+    re-expansion check all in Fractions."""
+    series = [Fraction(c) for c in series]
+    aug = [[series[s - q] if s - q >= 0 else Fraction(0) for q in range(1, m + 1)] + [-series[s]]
+           for s in range(n + 1, n + m + 1)]
+    rows = []
+    for row in aug:
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    prev = 1
+    for col in range(m):
+        piv = next((r for r in range(col, m) if rows[r][col]), None)
+        if piv is None:
+            raise DegeneratePadeError(f"singular Pade system at order [{n}/{m}]")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot_row = rows[col]
+        pivot = pivot_row[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                factor = row[col]
+                rows[r] = [(pivot * x - factor * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    denom = tuple(Fraction(row[m], prev) for row in rows)
+    numer = tuple(series[s] + sum(denom[q - 1] * series[s - q] for q in range(1, min(m, s) + 1))
+                  for s in range(n + 1))
+    approx = asymptotics.PadeApproximant(order=(n, m), numer=numer, denom=denom,
+                                         defects=asymptotics._denominator_roots(denom))
+    if approx.expansion(n + m) != series[:n + m + 1]:
+        raise DegeneratePadeError(f"re-expansion mismatch at order [{n}/{m}]")
+    return approx
+
+
+def test_pade_matches_fraction_reference_on_every_order():
+    # every [n/m] with n + m inside the table, both routes' series, d in {2, 3, 4, 8}
+    equal = singular = 0
+    for d, series, route in _route_series():
+        for total in range(len(series)):
+            for m in range(total + 1):
+                n = total - m
+                try:
+                    expected = _reference_pade(series, n, m)
+                except DegeneratePadeError:
+                    with pytest.raises(DegeneratePadeError, match="singular"):
+                        pade(series, n, m)
+                    singular += 1
+                    continue
+                assert pade(series, n, m) == expected, (d, route, n, m)
+                equal += 1
+    assert (equal, singular) == (1154, 74)
+
+
+def test_pade_residual_check_catches_a_wrong_solve(monkeypatch):
+    # one numerator b_q of the solve off by one unit: the integer residuals no longer vanish
+    series = coefficient_table(2).series_in_z()
+    solve = asymptotics._solve_exact
+    assert pade(series, 7, 7).order == (7, 7)
+    for q in range(7):
+        def off_by_one(rows, q=q):
+            numers, det = solve(rows)
+            numers[q] += 1
+            return numers, det
+
+        monkeypatch.setattr(asymptotics, "_solve_exact", off_by_one)
+        with pytest.raises(DegeneratePadeError, match="re-expansion mismatch"):
+            pade(series, 7, 7)
 
 
 def test_elliptic_k_monotone():
@@ -330,6 +415,55 @@ def test_estimator_untabulated_dimension_leading_identity():
     # no exact table for d=5, but the leading coefficient must still be 2(d-1)
     est = estimate_low_order_coeffs(5, r_max=3)
     assert est[0].value == pytest.approx(8.0, rel=0.01)
+
+
+def _reference_estimate(d, r_max):
+    """The estimator built from 24 separate blocks: `srm_blocks` over `build_gram_unknown`
+    of each (x, N), then the same Richardson extrapolation and fit."""
+    xs, ns = asymptotics._ESTIMATOR_X, asymptotics._ESTIMATOR_N
+    values = iter(srm_blocks([build_gram_unknown(n, d, n // 2 - round(x * n / 2))
+                              for x in xs for n in ns]))
+    extrapolated, last_correction = [], []
+    for _ in xs:
+        level = [(n / 2) * next(values) for n in ns]
+        factor, prev = 2.0, level[-1]
+        while len(level) > 1:
+            level = [(factor * level[i + 1] - level[i]) / (factor - 1.0) for i in range(len(level) - 1)]
+            factor *= 2.0
+        extrapolated.append(level[0])
+        last_correction.append(abs(level[0] - prev))
+    z = np.asarray(xs, dtype=float) ** 2
+    g = np.asarray(extrapolated) / z
+
+    def fit(zz, gg, terms):
+        scale = zz.max()
+        coef, *_ = np.linalg.lstsq(np.vander(zz / scale, terms, increasing=True), gg, rcond=None)
+        return coef / scale ** np.arange(terms)
+
+    full, reduced = fit(z, g, r_max + 1), fit(z[1:], g[1:], r_max + 1)
+    noise = max(last_correction) / z.min()
+    return [asymptotics.CoefficientEstimate(r, float(full[r - 1]),
+                                            float(abs(full[r - 1] - reduced[r - 1]) + 1e-3 * noise))
+            for r in range(1, r_max + 1)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_estimator_matches_block_by_block_reference(d):
+    assert estimate_low_order_coeffs(d, 3) == _reference_estimate(d, 3)
+
+
+def test_estimator_builds_no_block(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Built
+
+    for module, name in [(gram_module, "build_gram_unknown"), (gram_module, "_gram_blocks"),
+                         (gram_module, "SemiseparableGram"), (discrimination, "srm_blocks")]:
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(asymptotics, name, refuse, raising=False)
+    assert estimate_low_order_coeffs(2, 3)[0].value == pytest.approx(2.0, rel=0.01)
 
 
 def test_estimator_rejects_bad_args():
