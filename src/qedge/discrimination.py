@@ -86,8 +86,8 @@ def _block_arguments(scenario: str, params: StringParams) -> tuple[range, range]
 _LOG_MAX = math.log(np.finfo(float).max)
 # Relative error the node count of the rule for x^{-1/2} aims at.
 _RULE_TOL = 2e-16
-# Floats of shifted pivots `srm_blocks` holds at once (256 KB).  The blocks of
-# one chunk share one position loop, so larger chunks take fewer loop steps.
+# Floats of shifted pivots one chunk of `_root_diagonals` holds at once (256 KB).  The
+# blocks of one chunk share one position loop, so larger chunks take fewer loop steps.
 _CHUNK_FLOATS = 1 << 15
 # Rules for hi < 2 lo are built for [lo, 2 lo]: descending Landen from p = 1 never ends,
 # as k' = 0 maps k = 1 back to 1.
@@ -203,21 +203,11 @@ def _root_diagonal(b2: np.ndarray, c2: np.ndarray, weights: np.ndarray,
 
 def _root_diagonals(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray,
                     log_delta: np.ndarray, describe: Callable[[int], object]) -> np.ndarray:
-    """diag(G^{1/2}) of blocks laid end to end in flat arrays with the given orders
-    (`log_generators`), one entry per position; ``describe(i)`` names block i in errors.
-    A rank-one block has G^{1/2} = G / sqrt(tr G)."""
+    """diag(G^{1/2}) of full-rank blocks laid end to end (`log_generators`), one entry per position.
+    ValueError names (``describe(i)``) a block with some Delta_k = 0 or b_k^2, c_k^2 out of range."""
     ends = np.cumsum(orders) - 1
     starts = ends + 1 - orders
-    rank_one = _rank_one(log_delta, starts, ends)
-    eta = np.exp(log_eta)
-    traces = np.add.reduceat(eta, starts)
-    root = eta / np.sqrt(np.repeat(traces, orders))
-    full = np.flatnonzero(~rank_one)
-    if full.size == 0:
-        return root
     log_b2, log_c2 = log_bidiagonal_squares(log_eta, log_r, log_delta, ends)
-    outside = np.repeat(rank_one, orders)
-    log_b2[outside] = log_c2[outside] = -np.inf   # b = c = 0: rank-one blocks stay out
     worst = int(np.argmax(np.maximum(log_b2, log_c2)))
     log_big = max(log_b2[worst], log_c2[worst])
     fits = log_big <= 0.5 * _LOG_MAX   # b_k^2 c_k^2 stays finite; inf if some Delta_k = 0
@@ -227,20 +217,22 @@ def _root_diagonals(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray,
         row_sums[1:] += row_sums[:-1].copy()
         row_sums += b2
         row_sums[1:] += c2[:-1]
-        weights, shifts = _inverse_sqrt_rule(1.0 / traces[full].max(), float(row_sums.max()))
+        weights, shifts = _inverse_sqrt_rule(1.0 / np.add.reduceat(np.exp(log_eta), starts).max(),
+                                             float(row_sums.max()))
         fits = log_big + math.log(shifts.max() + math.exp(log_big)) <= _LOG_MAX
     if not fits:
         problem = ("is singular (some Delta_k = 0)" if math.isinf(log_big) else
                    f"has b_k^2 or c_k^2 = exp({log_big:.1f}): the SRM products overflow float64")
         raise ValueError(f"block {describe(int(np.searchsorted(ends, worst)))} {problem}")
-    full = full[np.argsort(-orders[full], kind="stable")]
-    lengths, starts = orders[full], starts[full]
+    by_order = np.argsort(-orders, kind="stable")
+    lengths, starts = orders[by_order], starts[by_order]
+    root = np.empty(log_eta.size)
     first = 0
-    while first < len(full):
+    while first < len(orders):
         n = lengths[first]
         seg = math.isqrt(n)   # as in `_root_diagonal`
         held = len(shifts) * (-(-n // seg) + seg)   # pivots per block: segment starts, one segment
-        last = min(len(full), first + max(1, _CHUNK_FLOATS // held))
+        last = min(len(orders), first + max(1, _CHUNK_FLOATS // held))
         position = np.arange(n)[:, None]
         inside = position < lengths[first:last]
         index = np.where(inside, starts[first:last] + position, 0)
@@ -253,9 +245,18 @@ def _root_diagonals(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray,
 
 def _srm_values(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray, log_delta: np.ndarray,
                 describe: Callable[[int], object]) -> np.ndarray:
-    """SRM value sum_k [G^{1/2}]_kk^2 of each block laid end to end (`_root_diagonals`)."""
-    root = _root_diagonals(orders, log_eta, log_r, log_delta, describe)
-    return np.add.reduceat(np.square(root), np.cumsum(orders) - orders)
+    """SRM value sum_k [G^{1/2}]_kk^2 of each block laid end to end (`log_generators`): sum eta^2 /
+    sum eta if rank one, as G^{1/2} = G / sqrt(tr G), and from `_root_diagonals` otherwise."""
+    starts = np.cumsum(orders) - orders
+    rank_one = _rank_one(log_delta, starts, starts + orders - 1)
+    eta = np.exp(log_eta)
+    values = np.add.reduceat(eta * eta, starts) / np.add.reduceat(eta, starts)
+    full = np.flatnonzero(~rank_one)
+    if full.size:
+        at = np.repeat(~rank_one, orders)
+        root = _root_diagonals(orders[full], log_eta[at], log_r[at], log_delta[at], lambda j: describe(full[j]))
+        values[full] = np.add.reduceat(np.square(root), np.cumsum(orders[full]) - orders[full])
+    return values
 
 
 def srm_blocks(grams: Sequence[SemiseparableGram]) -> list[float]:

@@ -143,13 +143,12 @@ def _reweighted_certificate(log_eta: np.ndarray, log_r: np.ndarray, x: np.ndarra
     (s = sqrt G, columns the states): the polar factor U V^T holds the measurement vectors
     (Higham, SIAM J. Sci. Stat. Comput. 7, 1160, 1986), so sum E_k = I, and in their basis
     Y = c U Sigma U^T is c S, S = V Sigma V^T = (W G W)^{1/2}, c = max_k S_kk / w_k^2.  So Y >= rho_k,
-    and tr Y and sum_k tr(E_k rho_k) are `_optimal_solutions`' D and P.  A Gram that deflation
-    leaves short of full rank raises numpy.linalg.LinAlgError."""
-    _, eig, vec = _kept_spectrum(dense_gram(log_eta, log_r, block))
-    if eig.size < vec.shape[0]:
-        raise np.linalg.LinAlgError(f"the Gram of block {block} is not numerically positive definite")
+    and tr Y and sum_k tr(E_k rho_k) are `_optimal_solutions`' D and P.  The block is full rank by
+    construction: s keeps every eigenpair of G, negatives from rounding clipped to 0."""
+    eig, vec = np.linalg.eigh(dense_gram(log_eta, log_r, block))
     w = np.exp(x)
-    u, sigma, vt = svd(_root(eig, vec) * w)
+    # column-major as in `psd_sqrt`, so that BLAS sums alike: s is psd_sqrt(G) bit for bit if G > 0
+    u, sigma, vt = svd(_root(np.maximum(eig, 0.0), np.asfortranarray(vec)) * w)
     c = float((sigma @ (vt * vt) / (w * w)).max())
     y = (u * (c * sigma)) @ u.T
     return [np.outer(m, m) for m in (u @ vt).T], 0.5 * (y + y.T)

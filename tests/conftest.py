@@ -1,8 +1,13 @@
 import os
+from pathlib import Path
 
 # One BLAS thread: the small dense blocks are several times slower with more.
 # Set before any test module imports numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# The CLI tests run the package from this checkout in child processes too;
+# pyproject's `pythonpath` covers only the test process.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 import pytest
 

@@ -146,6 +146,15 @@ def test_gap_tol_out_of_range_is_usage_error(tol, capsys):
     assert "gap tolerance must be positive and finite" in capsys.readouterr().err
 
 
+def test_gap_tol_accepted(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["curve", "--n", "6", "--method", "sdp", "--gap-tol", "1e-6",
+                 "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["gap_tol"] == 1e-6
+    assert doc["rows"] and all(row["status"] == "ok" for row in doc["rows"])
+
+
 @pytest.mark.parametrize("command", [
     ["curve", "--n", "4"],
     ["asymptote"],

@@ -198,9 +198,9 @@ def test_sdp_total_at_capacity():
 
 def test_total_success_rejects_gap_tol_before_any_block(monkeypatch):
     def no_blocks(*args):
-        raise AssertionError("blocks built despite a bad gap_tol")
+        raise AssertionError("generators built despite a bad gap_tol")
 
-    monkeypatch.setattr(discrimination, "scenario_blocks", no_blocks)
+    monkeypatch.setattr(discrimination, "log_generators", no_blocks)
     with pytest.raises(ValueError, match="gap_tol"):
         total_success(ScenarioSpec("unknown", StringParams(4, 2), "sdp"), gap_tol=math.inf)
 

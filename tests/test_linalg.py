@@ -247,6 +247,15 @@ def test_failed_svd_raises(monkeypatch):
         sol.dual   # the dense certificate, built on first read
 
 
+def test_barrier_plateau_ends_a_stage():
+    # the Newton decrement of this block stalls at its numerical floor above the target:
+    # the plateau rule ends the last stage, where the 200-step cap would end the solve
+    g = build_gram_known(10, 2, 6)
+    sol = solve_discrimination_sdp(g.dense)
+    assert sol.status == "converged" and sol.iterations < linalg._MAX_ITER
+    assert sol.primal_value == pytest.approx(optimal_block(g)[0], abs=1e-8)
+
+
 def _certificate_misfits(sol, states):
     """max |sum E_k - I|, and the misfits of tr(dual) to dual_value and of
     sum_k s_k^T E_k s_k to primal_value relative to them; the s_k are the columns of states."""
@@ -285,6 +294,15 @@ def test_dense_certificate_contradicting_its_dual_value_raises():
     with pytest.raises(np.linalg.LinAlgError, match="but the dual value is"):
         corrupted.dual
     assert np.trace(sol.dual) == pytest.approx(sol.dual_value, rel=1e-13)
+
+
+def test_dense_certificate_of_ill_conditioned_block():
+    # known N = 32, d = 50, ntilde0 = 22 is full rank by construction, though its Gram's smallest
+    # eigenvalues lie below 1e-12 lambda_max: the view takes every eigenpair and keeps its values
+    sol = total_success(ScenarioSpec("known", StringParams(32, 50), "sdp")).certificates[22]
+    primal, dual = sol.primal, sol.dual
+    assert np.abs(sum(primal) - np.eye(len(primal))).max() <= 1e-12
+    assert np.trace(dual) == pytest.approx(sol.dual_value, rel=1e-9)
 
 
 def test_full_rank_gram_is_decomposed_once(monkeypatch):

@@ -15,6 +15,7 @@ from qedge import (
     StringParams,
     build_gram_known,
     build_gram_unknown,
+    optimal_block,
     rescale_gram,
     scenario_blocks,
     srm_block,
@@ -259,8 +260,20 @@ def test_srm_blocks_rejects_singular_block():
     log_delta[1] = -np.inf
     singular = SemiseparableGram(g.block, g.log_eta, g.log_r, log_delta)
     assert not singular.rank_one
-    with pytest.raises(ValueError):
-        srm_blocks([g, singular])
+    # the rank-one lam = 0 block in front takes the closed form, and the error names the caller's block
+    with pytest.raises(ValueError, match=r"^block IrrepBlock\(.*lam=2\) is singular"):
+        srm_blocks([build_gram_unknown(10, 2, 0), singular, g])
+    with pytest.raises(RuntimeError, match=r"^SDP failed: block IrrepBlock\(.*lam=2\) is singular \(some Delta_k = 0\)$"):
+        optimal_block(singular)
+
+
+def test_kernel_refuses_rank_one_block():
+    # the callers split rank-one blocks off by structure; one handed to the kernel fails its range check
+    blocks = [build_gram_unknown(10, 2, 2), build_gram_unknown(10, 2, 0)]
+    assert blocks[1].rank_one and blocks[1].order > 1
+    flat = map(np.concatenate, zip(*[(g.log_eta, g.log_r, g.log_delta) for g in blocks]))
+    with pytest.raises(ValueError, match=r"^block IrrepBlock\(.*lam=0\) is singular"):
+        discrimination._root_diagonals(np.array([g.order for g in blocks]), *flat, lambda i: blocks[i].block)
 
 
 def test_one_srm_path():
