@@ -4,14 +4,15 @@ Both scenarios (unknown-unknown, known-unknown) reduce to pure-state
 discrimination on Gram blocks.  The square-root measurement needs no
 optimization: its joint success probability on a block is the sum of squared
 diagonal entries of sqrt(G), which one kernel call takes for all blocks of a
-total at once from a positive rational rule for x^{-1/2} applied to the
-tridiagonal G^{-1}.  The optimal value, the block SDP optimum, is the SRM of a
+total, or of a batch of totals, at once from a positive rational rule for
+x^{-1/2} applied to the tridiagonal G^{-1}.  The optimal value, the block SDP optimum, is the SRM of a
 reweighted block, found by repeated kernel calls.  Totals sum the joint block
 values over all outcomes of the first measurement.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -20,7 +21,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .combinatorics import CapacityError, StringParams
-from .gram import SemiseparableGram, _gram_blocks, _rank_one, log_bidiagonal_squares, log_generators
+from .gram import (SemiseparableGram, _block_orders, _gram_blocks, _rank_one, log_bidiagonal_squares,
+                   log_generators)
 from .linalg import SdpSolution, _check_gap_tol, _rank_one_solution, _reweighted_certificate
 
 __all__ = [
@@ -84,11 +86,13 @@ def _block_arguments(scenario: str, params: StringParams) -> tuple[range, range]
 
 # Log of the float64 maximum, above b_k^2 c_k^2 and the pivot products (sigma + b_k^2) b_k^2.
 _LOG_MAX = math.log(np.finfo(float).max)
+# Positions of the blocks of one batch of `success_curve`, which share one kernel stream.
+_BATCH_POSITIONS = 1 << 16
 # Relative error the node count of the rule for x^{-1/2} aims at.
 _RULE_TOL = 2e-16
-# Floats of shifted pivots one chunk of `_root_diagonals` holds at once (256 KB).  The
+# Floats of shifted pivots one chunk of `_root_diagonals` holds at once (1 MB).  The
 # blocks of one chunk share one position loop, so larger chunks take fewer loop steps.
-_CHUNK_FLOATS = 1 << 15
+_CHUNK_FLOATS = 1 << 17
 # Rules for hi < 2 lo are built for [lo, 2 lo]: descending Landen from p = 1 never ends,
 # as k' = 0 maps k = 1 back to 1.
 _P_MAX = 0.5
@@ -201,43 +205,57 @@ def _root_diagonal(b2: np.ndarray, c2: np.ndarray, weights: np.ndarray,
     return root
 
 
-def _root_diagonals(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray,
-                    log_delta: np.ndarray, describe: Callable[[int], object]) -> np.ndarray:
-    """diag(G^{1/2}) of full-rank blocks laid end to end (`log_generators`), one entry per position.
-    ValueError names (``describe(i)``) a block with some Delta_k = 0 or b_k^2, c_k^2 out of range."""
+def _root_diagonals(orders: np.ndarray, blocks: np.ndarray, trace: np.ndarray, log_eta: np.ndarray,
+                    log_r: np.ndarray, log_delta: np.ndarray, describe: Callable[[int], object]) -> np.ndarray:
+    """diag(G^{1/2}), one entry per position, of the full-rank blocks ``blocks`` (ascending indices,
+    traces ``trace``) among blocks laid end to end (`log_generators`); the other blocks are ignored
+    and read 0.  ValueError names (``describe(i)``) a block of ``blocks`` with some Delta_k = 0 or
+    b_k^2, c_k^2 out of range."""
     ends = np.cumsum(orders) - 1
     starts = ends + 1 - orders
     log_b2, log_c2 = log_bidiagonal_squares(log_eta, log_r, log_delta, ends)
+    if blocks.size < orders.size:   # zero couplings at the other blocks' positions
+        skipped = np.ones(orders.size, bool)
+        skipped[blocks] = False
+        n = orders[skipped]
+        at = np.repeat(starts[skipped] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        log_b2[at] = log_c2[at] = -np.inf
     worst = int(np.argmax(np.maximum(log_b2, log_c2)))
     log_big = max(log_b2[worst], log_c2[worst])
     fits = log_big <= 0.5 * _LOG_MAX   # b_k^2 c_k^2 stays finite; inf if some Delta_k = 0
     if fits:
         b2, c2 = np.exp(log_b2, out=log_b2), np.exp(log_c2, out=log_c2)
-        row_sums = np.sqrt(b2 * c2)   # Gershgorin: b_k^2 + c_{k-1}^2 + b_k c_k + b_{k-1} c_{k-1}
-        row_sums[1:] += row_sums[:-1].copy()
+        # Gershgorin: b_k^2 + c_{k-1}^2 + b_k c_k + b_{k-1} c_{k-1}; the forward in-place sum
+        # b_{k-1} c_{k-1} + b_k c_k reads each entry before it is overwritten, so numpy copies nothing
+        bc = np.empty(b2.size + 1)
+        bc[0] = 0.0
+        np.sqrt(np.multiply(b2, c2, out=bc[1:]), out=bc[1:])
+        row_sums = np.add(bc[:-1], bc[1:], out=bc[:-1])
         row_sums += b2
         row_sums[1:] += c2[:-1]
-        weights, shifts = _inverse_sqrt_rule(1.0 / np.add.reduceat(np.exp(log_eta), starts).max(),
-                                             float(row_sums.max()))
+        weights, shifts = _inverse_sqrt_rule(1.0 / trace.max(), float(row_sums.max()))
+        del bc, row_sums
         fits = log_big + math.log(shifts.max() + math.exp(log_big)) <= _LOG_MAX
     if not fits:
         problem = ("is singular (some Delta_k = 0)" if math.isinf(log_big) else
                    f"has b_k^2 or c_k^2 = exp({log_big:.1f}): the SRM products overflow float64")
         raise ValueError(f"block {describe(int(np.searchsorted(ends, worst)))} {problem}")
-    by_order = np.argsort(-orders, kind="stable")
+    by_order = blocks[np.argsort(-orders[blocks], kind="stable")]
     lengths, starts = orders[by_order], starts[by_order]
-    root = np.empty(log_eta.size)
+    root = b2   # b_k^2 of a block is read by its own chunk only, and is 0 outside the blocks
     first = 0
-    while first < len(orders):
+    while first < len(lengths):
         n = lengths[first]
         seg = math.isqrt(n)   # as in `_root_diagonal`
         held = len(shifts) * (-(-n // seg) + seg)   # pivots per block: segment starts, one segment
-        last = min(len(orders), first + max(1, _CHUNK_FLOATS // held))
+        last = min(len(lengths), first + max(1, _CHUNK_FLOATS // held))
         position = np.arange(n)[:, None]
         inside = position < lengths[first:last]
         index = np.where(inside, starts[first:last] + position, 0)
-        root_diag = _root_diagonal(np.where(inside, b2[index], 0.0), np.where(inside, c2[index], 0.0),
-                                   weights, shifts)
+        b2_chunk, c2_chunk = b2[index], c2[index]
+        b2_chunk *= inside   # zero past each block's end
+        c2_chunk *= inside
+        root_diag = _root_diagonal(b2_chunk, c2_chunk, weights, shifts)
         root[index[inside]] = root_diag[inside]
         first = last
     return root
@@ -250,12 +268,13 @@ def _srm_values(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarray, log_
     starts = np.cumsum(orders) - orders
     rank_one = _rank_one(log_delta, starts, starts + orders - 1)
     eta = np.exp(log_eta)
-    values = np.add.reduceat(eta * eta, starts) / np.add.reduceat(eta, starts)
+    trace = np.add.reduceat(eta, starts)
+    values = np.add.reduceat(np.square(eta, out=eta), starts) / trace
+    del eta
     full = np.flatnonzero(~rank_one)
     if full.size:
-        at = np.repeat(~rank_one, orders)
-        root = _root_diagonals(orders[full], log_eta[at], log_r[at], log_delta[at], lambda j: describe(full[j]))
-        values[full] = np.add.reduceat(np.square(root), np.cumsum(orders[full]) - orders[full])
+        root = _root_diagonals(orders, full, trace[full], log_eta, log_r, log_delta, describe)
+        values[full] = np.add.reduceat(np.square(root, out=root), starts)[full]
     return values
 
 
@@ -318,9 +337,10 @@ def _optimal_solutions(orders: np.ndarray, log_eta: np.ndarray, log_r: np.ndarra
         if passes == _MAX_PASSES:
             raise RuntimeError(f"SDP failed on block {describe(blocks[0])}: the reweighting "
                                f"did not converge in {_MAX_PASSES} kernel passes")
+        weighted = log_eta[at] + 2.0 * x
         try:
-            root = _root_diagonals(n, log_eta[at] + 2.0 * x, log_r[at], log_delta[at],
-                                   lambda j: describe(blocks[j]))
+            root = _root_diagonals(n, np.arange(n.size), np.add.reduceat(np.exp(weighted), first),
+                                   weighted, log_r[at], log_delta[at], lambda j: describe(blocks[j]))
         except ValueError as exc:
             raise RuntimeError(f"SDP failed: {exc}") from exc
         log_q = np.log(root) - 2.0 * x
@@ -371,24 +391,49 @@ def total_success(spec: ScenarioSpec, gap_tol: float = 1e-8) -> DiscriminationRe
     SDP_MAX_PARTICLES (SDP).  Raises ValueError unless 0 < gap_tol < inf.
     """
     _check_gap_tol(gap_tol)
-    N = spec.params.N
+    _check_capacity(spec)
+    return _totals([spec], gap_tol)[0]
+
+
+def _check_capacity(spec: ScenarioSpec) -> None:
+    """Raise CapacityError if the spec's N is above its method's particle cap."""
     cap = SRM_MAX_PARTICLES if spec.method == "srm" else SDP_MAX_PARTICLES
-    if N > cap:
-        raise CapacityError(f"method {spec.method!r} capped at N <= {cap}, got {N}")
-    labels, arguments = _block_arguments(spec.scenario, spec.params)
-    generators = log_generators(spec.scenario, N, spec.params.d, arguments)
+    if spec.params.N > cap:
+        raise CapacityError(f"method {spec.method!r} capped at N <= {cap}, got {spec.params.N}")
+
+
+def _totals(specs: Sequence[ScenarioSpec], gap_tol: float) -> list[DiscriminationResult]:
+    """`total_success` of each spec, all of one method, from one `_srm_values` or
+    `_optimal_solutions` call over the generators of all their blocks laid end to end,
+    each spec's written in place into one array per generator.  Raises what that call raises."""
+    layouts = [_block_arguments(spec.scenario, spec.params) for spec in specs]
+    orders = [_block_orders(spec.scenario, spec.params.N, arguments)
+              for spec, (_, arguments) in zip(specs, layouts)]
+    bounds = np.cumsum([0, *map(len, orders)]).tolist()   # each spec's first block
+    orders = np.concatenate(orders)
+    flat = np.empty((3, int(orders.sum())))   # log eta, log r, log Delta
+    position = 0
+    for spec, (_, arguments) in zip(specs, layouts):
+        _, *generators = log_generators(spec.scenario, spec.params.N, spec.params.d, arguments)
+        for row, generator in zip(flat, generators):
+            row[position:position + generator.size] = generator
+        position += generators[0].size
 
     def describe(i: int) -> str:
-        return f"{labels[i]} of {spec}"
+        j = bisect.bisect_right(bounds, i) - 1
+        return f"{layouts[j][0][i - bounds[j]]} of {specs[j]}"
 
-    certificates: Optional[dict[int, SdpSolution]] = None
-    if spec.method == "srm":
-        per_block = dict(zip(labels, _srm_values(*generators, describe).tolist()))
+    if specs[0].method == "srm":
+        values, solutions = _srm_values(orders, *flat, describe).tolist(), None
     else:
-        certificates = dict(zip(labels, _optimal_solutions(*generators, describe, gap_tol)))
-        per_block = {label: sol.primal_value for label, sol in certificates.items()}
-    total = float(sum(per_block.values()))
-    return DiscriminationResult(per_block=per_block, total=total, certificates=certificates)
+        solutions = _optimal_solutions(orders, *flat, describe, gap_tol)
+        values = [sol.primal_value for sol in solutions]
+    results = []
+    for (labels, _), first, stop in zip(layouts, bounds, bounds[1:]):
+        per_block = dict(zip(labels, values[first:stop]))
+        certificates = None if solutions is None else dict(zip(labels, solutions[first:stop]))
+        results.append(DiscriminationResult(per_block, float(sum(per_block.values())), certificates))
+    return results
 
 
 @dataclass(frozen=True)
@@ -421,22 +466,58 @@ def success_curve(
 ) -> list[CurvePoint]:
     """Success probability for each N in ascending n_values; failures are recorded per row.
 
+    Consecutive N run in batches: a batch takes the next N while its blocks hold at most
+    _BATCH_POSITIONS positions (an N with more runs alone), and all its blocks share one
+    kernel stream (`_totals`).  A failure stays in its row.  An N whose spec or capacity
+    check fails is recorded before any batch is formed, and a batch whose kernel call
+    raises runs again one N at a time, so every row, error rows included, is that N's
+    `total_success` row.  A batch shares one rule over its blocks' spectra, so batched
+    values may differ from per-N ones at the rule's error level.
+
     Unsorted n_values and a gap_tol outside (0, inf) raise ValueError before any row.
     """
     if sorted(n_values) != list(n_values):
         raise ValueError("n_values must be sorted ascending")
     _check_gap_tol(gap_tol)
 
-    def one(n: int) -> CurvePoint:
-        try:
-            res = total_success(ScenarioSpec(scenario, StringParams(n, d), method), gap_tol)
-        except Exception as exc:
+    def point(n: int, outcome: object) -> CurvePoint:
+        if isinstance(outcome, Exception):
             return CurvePoint(n, d, scenario, method, float("nan"), float("nan"),
-                              f"error:{type(exc).__name__}")
-        sols = (res.certificates or {}).values()
+                              f"error:{type(outcome).__name__}")
+        sols = (outcome.certificates or {}).values()
         worst = max((sol.status for sol in sols), key=_STATUS_RANK.index, default="converged")
-        return CurvePoint(n, d, scenario, method, res.total, max((sol.gap for sol in sols), default=0.0),
+        return CurvePoint(n, d, scenario, method, outcome.total, max((sol.gap for sol in sols), default=0.0),
                           "ok" if worst == "converged" else worst,
                           max((sol.iterations for sol in sols), default=0))
 
-    return [one(n) for n in n_values]
+    points: list[Optional[CurvePoint]] = [None] * len(n_values)
+    batches: list[list[tuple[int, ScenarioSpec]]] = []   # (row, spec) of each batch
+    held = 0   # positions in the last batch
+    for row, n in enumerate(n_values):
+        try:
+            spec = ScenarioSpec(scenario, StringParams(n, d), method)
+            _check_capacity(spec)
+        except Exception as exc:
+            points[row] = point(n, exc)
+            continue
+        size = int(_block_orders(scenario, n, _block_arguments(scenario, spec.params)[1]).sum())
+        if not batches or held + size > _BATCH_POSITIONS:
+            batches.append([])
+            held = 0
+        batches[-1].append((row, spec))
+        held += size
+    for batch in batches:
+        rows, specs = zip(*batch)
+        for row, outcome in zip(rows, _outcomes(list(specs), gap_tol)):
+            points[row] = point(n_values[row], outcome)
+    return points
+
+
+def _outcomes(specs: list[ScenarioSpec], gap_tol: float) -> list[object]:
+    """`_totals` of the specs, or, if that raises, of each spec alone: its result or its exception."""
+    try:
+        return _totals(specs, gap_tol)
+    except Exception as exc:
+        if len(specs) == 1:
+            return [exc]
+        return [outcome for spec in specs for outcome in _outcomes([spec], gap_tol)]

@@ -161,7 +161,7 @@ def log_generators(scenario: str, N: int, d: int, labels: Sequence[int]) -> tupl
     unknown = scenario == "unknown"
     x = np.asarray(labels) if unknown else N - np.asarray(labels)   # lam or e
     first = np.maximum(x, 1)
-    orders = (N - x if unknown else N) - first + 1
+    orders = _block_orders(scenario, N, labels)
     ends = np.cumsum(orders) - 1
     block = np.repeat(np.arange(len(x), dtype=np.int32), orders)
     xk = x.astype(np.int32)[block]
@@ -181,6 +181,15 @@ def log_generators(scenario: str, N: int, d: int, labels: Sequence[int]) -> tupl
     log_delta[:-1] += log_r[1:]
     log_delta[ends] = log_r[ends]
     return orders, log_eta, log_r, log_delta
+
+
+def _block_orders(scenario: str, N: int, labels: Sequence[int]) -> np.ndarray:
+    """Order of each block ``labels`` (lam if unknown, ntilde0 if known) of (scenario, N): the size
+    of its hypothesis range, max(lam, 1)..N - lam or max(e, 1)..N with e = N - ntilde0."""
+    if scenario == "unknown":
+        lam = np.asarray(labels)
+        return N - lam - np.maximum(lam, 1) + 1
+    return N - np.maximum(N - np.asarray(labels), 1) + 1
 
 
 def _rank_one(log_delta: np.ndarray, starts, ends) -> np.ndarray:

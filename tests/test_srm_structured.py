@@ -272,8 +272,10 @@ def test_kernel_refuses_rank_one_block():
     blocks = [build_gram_unknown(10, 2, 2), build_gram_unknown(10, 2, 0)]
     assert blocks[1].rank_one and blocks[1].order > 1
     flat = map(np.concatenate, zip(*[(g.log_eta, g.log_r, g.log_delta) for g in blocks]))
+    orders = np.array([g.order for g in blocks])
     with pytest.raises(ValueError, match=r"^block IrrepBlock\(.*lam=0\) is singular"):
-        discrimination._root_diagonals(np.array([g.order for g in blocks]), *flat, lambda i: blocks[i].block)
+        discrimination._root_diagonals(orders, np.arange(2), np.array([g.trace for g in blocks]), *flat,
+                                       lambda i: blocks[i].block)
 
 
 def test_one_srm_path():
